@@ -10,6 +10,10 @@ import (
 	"unsafe"
 )
 
+// This file holds the queue's one dispatch scan (harvestShard) and the
+// batch API over it. Every dequeue is a harvest; TryDequeue,
+// DequeueContext and CompleteNext's chain handoff harvest one entry.
+//
 // Batched dispatch amortizes the per-entry dispatch cost — a shard lock
 // acquire/release, an eventcount round trip, and a claim-queue walk per
 // entry — across a whole run of compatible entries: one harvest takes a
@@ -39,50 +43,40 @@ import (
 // sequential barrier bounds the harvest; an activated barrier is returned
 // as a one-entry batch. max <= 1 harvests at most one entry.
 func (q *Queue) TryDequeueBatch(max int) (es []*Entry, ok bool) {
-	es, ok, _ = q.tryDequeueBatch(max)
-	return es, ok
+	es, _ = q.harvest(max, nil)
+	return es, len(es) > 0
 }
 
 // DequeueBatch blocks until at least one entry is dispatchable, then
 // returns a batch of up to max entries with a single eventcount
 // interaction. It returns ErrClosed once the queue is closed and fully
-// drained and ctx.Err() on cancellation. DequeueBatch(ctx, 1) behaves
-// identically to DequeueContext (one entry per batch).
+// drained and ctx.Err() on cancellation. DequeueBatch(ctx, 1) dispatches
+// exactly what DequeueContext would (one entry per batch).
 func (q *Queue) DequeueBatch(ctx context.Context, max int) ([]*Entry, error) {
-	if max <= 1 {
-		e, err := q.DequeueContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return []*Entry{e}, nil
-	}
-	var out []*Entry
-	err := q.blockDequeue(ctx, func() (ok, retry bool) {
-		out, ok, retry = q.tryDequeueBatch(max)
-		return ok, retry
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return q.blockDequeue(ctx, max, nil)
 }
 
-// tryDequeueBatch makes one batched dispatch attempt: the barrier first
-// (an activated barrier is a batch of one), then the shards round-robin,
-// harvesting from the first shard that yields anything. retry reports an
-// inconclusive attempt (a TryLock loss), as in tryDequeue.
-func (q *Queue) tryDequeueBatch(max int) (es []*Entry, ok, retry bool) {
+// harvest makes one dispatch attempt across the barrier and all shards:
+// the barrier first (an activated barrier is a batch of one), then the
+// shards round-robin, harvesting up to max entries from the first shard
+// that yields anything. retry reports an inconclusive attempt — a shard
+// or cross-shard TryLock was lost — after which the caller should rescan
+// rather than sleep. buf is the caller's result buffer, as in
+// harvestLocked: nil from the batch API, a one-slot stack buffer from
+// the single-entry forms.
+func (q *Queue) harvest(max int, buf []*Entry) (es []*Entry, retry bool) {
 	if max < 1 {
-		max = 1 // a batched dequeue always means at least one entry
+		max = 1 // a dequeue always means at least one entry
 	}
 	if q.bar.active.Load() {
+		// A sequential handler owns the machine; nothing dispatches.
 		q.g.barrierStalls.Add(1)
-		return nil, false, false
+		return nil, false
 	}
 	barPending := q.bar.minSeq.Load() != 0
 	if barPending {
 		if e, ok := q.tryActivateBarrier(); ok {
-			return []*Entry{e}, true, false
+			return append(buf, e), false
 		}
 	}
 	var start uint32
@@ -94,94 +88,101 @@ func (q *Queue) tryDequeueBatch(max int) (es []*Entry, ok, retry bool) {
 		if s.npending.Load() == 0 {
 			continue
 		}
-		es, r := q.harvestShard(s, max)
+		es, r := q.harvestShard(s, max, buf)
 		if len(es) > 0 {
-			return es, true, false
+			return es, false
 		}
 		retry = retry || r
 	}
 	if barPending {
 		q.g.seqStalls.Add(1)
 	}
-	return nil, false, retry
+	return nil, retry
 }
 
-// harvestShard is the batched form of scanShard: one TryLock'd pass over
-// s's pending bands collecting every dispatchable entry until max
-// entries are harvested or the search window is exhausted. Ripe delayed
-// entries mature first, bands are harvested in scheduling order
-// (bandOrder — so a batch lists higher-band entries before lower), a
-// pending sequential barrier's gate bounds each band, and expired
-// entries are dropped to the dead-letter hook instead of harvested. The
-// per-entry dispatch protocol is identical to scanShard's (inflightAll
-// before unlink, claim pops under the lock); the batch additions are the
-// in-batch key suppression described at the top of the file and, with
-// WithCoalesce, the merging of identical-key runs into one entry.
-func (q *Queue) harvestShard(s *shard, max int) (es []*Entry, retry bool) {
+// harvestShard performs the bounded associative search over one shard's
+// pending lists — the per-shard analogue of the paper's dispatch-buffer
+// scan — collecting every dispatchable entry until max messages are
+// harvested or the search window is exhausted. Ripe delayed entries
+// mature into their bands first; then the bands are walked in scheduling
+// order (bandOrder: highest first, a starved band boosted to the front —
+// so a batch lists higher-band entries before lower). Each band list is
+// seq-ascending, so a pending sequential barrier gates a band with a
+// single comparison, and order preservation across key sets falls out of
+// the claim queues: a later entry overlapping any earlier pending entry's
+// key cannot head that key's claim queue, whatever their bands. Expired
+// entries met by the scan are dropped to the dead-letter hook instead of
+// dispatched. A harvest of more than one entry adds the in-batch key
+// exception described at the top of the file and, with WithCoalesce, the
+// merging of identical-key runs into one entry.
+//
+// The shard lock is TryLock'd: a consumer never parks on a shard another
+// consumer is already scanning (that consumer will dispatch whatever is
+// dispatchable there). retry reports such an inconclusive skip, or a
+// cross-shard TryLock failure; the caller rescans instead of sleeping.
+func (q *Queue) harvestShard(s *shard, max int, buf []*Entry) (es []*Entry, retry bool) {
 	if !s.mu.TryLock() {
 		return nil, true
 	}
 	var expired []Message
-	es, retry = q.harvestLocked(s, max, &expired)
+	es, retry = q.harvestLocked(s, max, buf, &expired)
 	s.mu.Unlock()
 	q.finishExpired(expired)
 	return es, retry
 }
 
 // harvestLocked is harvestShard's body. Caller holds s.mu and must pass
-// the expired messages to finishExpired after unlocking.
+// the expired messages to finishExpired after unlocking. Harvested
+// entries are appended to es, the caller's result buffer. A nil es marks
+// the public batch API: the result slice is allocated here, and the
+// batch counters and the TraceHarvest event — which mean "dequeued
+// through the batch API" — apply. Single-entry callers bring a one-slot
+// buffer and pay for nothing but the Entry.
 //
-//pdq:crossshard — holds s.mu; batch dispatch reaches foreign shards.
-func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entry, retry bool) {
-	q.drainIntakeScan(s)
-	// Read AFTER the drain, for the reason documented in scanLocked: the
-	// gate load must be ordered after the drained entries' seq fetches.
+//pdq:crossshard — holds s.mu; dispatch and expiry reach foreign shards.
+func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, expired *[]Message) ([]*Entry, bool) {
+	batch := es == nil
+	if s.in.slots != nil {
+		// The prefix drain: consume whatever is already published, never
+		// waiting on stragglers (an unpublished claim is an Enqueue that
+		// has not returned — the scan owes it nothing).
+		q.drainIntake(s, s.in.tail.Load(), false)
+	}
+	// The barrier gate must be read AFTER the intake drain: a drained
+	// entry's seq is fetched above, so if it landed past a pending
+	// barrier, the barrier's floor store is ordered before that fetch and
+	// this load is guaranteed to observe the gate. Reading the gate first
+	// could dispatch a just-drained post-barrier entry ahead of the
+	// barrier.
 	barSeq := q.bar.minSeq.Load()
-	var now int64
+	var now int64 // fetched lazily: idle scans never read the clock; the first expiry check or dispatch does
 	if s.timers.len() > 0 {
 		now = nowNanos()
 		s.matureRipe(now)
 	}
-	// acquired is the set of keys taken by earlier entries of this batch:
-	// an in-flight conflict on one of these keys is not a conflict for a
-	// later single-shard entry, because batch order serializes the two on
-	// the executing goroutine.
+	// acquired is the set of keys taken by earlier entries of this batch
+	// (see shard.conflict). A harvest of one never consults it, so it is
+	// only tracked — and only reaches the heap — when max > 1.
 	var acquired []Key
-	// The batch's entries live in one slab — one allocation and one GC
+	// The harvest's entries live in one slab — one allocation and one GC
 	// object per harvest instead of one per entry, allocated lazily at
 	// the first dispatch so a gated or fully conflicted scan allocates
-	// nothing (like scanShard). The capacity is fixed at that first take
-	// (npending cannot grow under s.mu), so append never reallocates and
-	// the *Entry pointers stay valid.
+	// nothing. The capacity fixed at that first take is never exceeded
+	// (npending counts at least every entry linked under s.mu), so
+	// append never reallocates and the *Entry pointers stay valid.
 	var ents []Entry
-	take := func(n *node) *Entry {
-		if ents == nil {
-			// n itself is already unlinked, hence the +1.
-			c := int(s.npending.Load()) + 1
-			if c > max {
-				c = max
-			}
-			ents = make([]Entry, 0, c)
-			es = make([]*Entry, 0, c)
-		}
-		ents = append(ents, n.entry)
-		s.recycle(n)
-		e := &ents[len(ents)-1]
-		if t := s.tr; t != nil && e.msg.TraceID != 0 {
-			t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, int64(len(ents)-1))
-		}
-		return e
-	}
-	windowHit := false
+	retry, windowHit := false, false
 	msgs := 0 // messages harvested: entries plus coalesced merges
 	order := s.bandOrder()
 	for _, b := range order {
 		if msgs >= max {
 			break
 		}
-		// Per-band window budget, as in scanLocked: a conflicted higher
-		// band must not starve the band holding the oldest dispatchable
-		// entry of its search window.
+		// The window budget is per band (as it is per shard): a higher
+		// band full of order-conflicted entries must not exhaust the
+		// budget before the band holding the oldest dispatchable entry
+		// is reached — with nothing in flight that entry is the scan's
+		// guaranteed find, the invariant that makes parking safe.
 		scanned := 0
 		for n := s.bands[b].head; n != nil && msgs < max; {
 			if q.window > 0 && scanned >= q.window {
@@ -189,9 +190,10 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				break
 			}
 			if barSeq != 0 && n.entry.seq >= barSeq {
-				// The band is seq-ascending: the rest of it is gated
-				// behind the sequential barrier (other bands may still
-				// hold earlier entries).
+				// Entries at or past a pending sequential barrier's queue
+				// position may not dispatch until the barrier completes;
+				// the band is seq-ordered, so the rest of it is blocked
+				// too (other bands may still hold earlier entries).
 				break
 			}
 			scanned++
@@ -202,119 +204,73 @@ func (q *Queue) harvestLocked(s *shard, max int, expired *[]Message) (es []*Entr
 				continue
 			}
 			m := &n.entry.msg
-			switch {
-			case m.Mode == ModeNoSync:
-				q.inflightAll.Add(1)
-				s.unlink(n)
-				q.releaseSlot()
-				s.stats.dispatched++
-				s.stats.noSyncDispatched++
-				s.creditDispatch(int(b), &n.entry, &now)
-				msgs++
-				es = append(es, take(n))
-			case n.entry.smask == 1<<s.idx:
-				barge := m.Mode == ModeBarge
-				kind := s.conflictBatch(q, m.Keys, n.entry.seq, acquired, barge)
-				if kind != conflictNone {
-					s.countConflict(kind)
-					break
+			local := n.entry.smask == 1<<s.idx
+			barge := m.Mode == ModeBarge
+			kind, lost := conflictNone, false
+			if local {
+				// A nosync or keyless entry has an empty key set and so no
+				// conflicts; a barge entry skips the claim-order check.
+				if kind = s.conflict(q, m.Keys, n.entry.seq, acquired, true, barge); kind == conflictNone {
+					q.acquire(s, n)
 				}
-				q.inflightAll.Add(1)
-				for _, k := range m.Keys {
-					s.inflight[k]++
-					if !barge {
-						s.popClaim(k, n.entry.seq)
-					}
-				}
-				s.unlink(n)
-				q.releaseSlot()
-				s.stats.dispatched++
-				if barge {
-					s.stats.bargeDispatched++
-				}
-				if len(m.Keys) > 1 {
-					s.stats.multiKeyDispatched++
-				}
-				s.creditDispatch(int(b), &n.entry, &now)
-				if !barge {
-					// A barge entry's holder may park its keys past the
-					// batch, so they never join the in-batch exception.
-					acquired = append(acquired, m.Keys...)
-				}
-				msgs++
-				e := take(n) // n is recycled here; use e from now on
-				if q.coalesce && e.msg.Mode == ModeKeyed && e.msg.Batch != nil && e.attempt == 0 {
-					// The representative already counts against max, so the
-					// merge budget is the batch's remaining message capacity.
-					next = q.coalesceRun(s, e, next, barSeq, &scanned, max-msgs, &now)
-					msgs += len(e.extraList())
-				}
-				es = append(es, e)
-			default:
-				// Cross-shard entry: the standard TryLock'd dispatch, with no
-				// in-batch suppression (foreign shards know nothing of this
-				// batch). A lost lock race reports retry, as in scanShard.
-				ok, kind, r := q.tryDispatchCross(s, n)
-				if ok {
-					s.creditDispatch(int(b), &n.entry, &now)
-					if m.Mode != ModeBarge {
-						acquired = append(acquired, m.Keys...)
-					}
-					msgs++
-					es = append(es, take(n))
-				} else if r {
+			} else {
+				// Cross-shard entry: the TryLock'd dispatch, with no in-batch
+				// exception (foreign shards know nothing of this batch).
+				kind, lost = q.tryDispatchCross(s, n)
+			}
+			if lost || kind != conflictNone {
+				switch {
+				case lost:
 					retry = true
-				} else {
-					s.countConflict(kind)
+				case kind == conflictOrder:
+					s.stats.orderConflicts++
+				default:
+					s.stats.keyConflicts++
+				}
+				n = next
+				continue
+			}
+			s.creditDispatch(int(b), &n.entry, &now)
+			if max > 1 && !barge {
+				// A barge entry's holder may park its keys past the batch,
+				// so they never join the in-batch exception.
+				acquired = append(acquired, m.Keys...)
+			}
+			msgs++
+			if ents == nil {
+				// n itself is already unlinked, hence the +1.
+				c := min(int(s.npending.Load())+1, max)
+				ents = make([]Entry, 0, c)
+				if batch {
+					es = make([]*Entry, 0, c)
 				}
 			}
+			ents = append(ents, n.entry)
+			s.recycle(n) // use e from now on
+			e := &ents[len(ents)-1]
+			if t := s.tr; batch && t != nil && e.msg.TraceID != 0 {
+				t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, int64(len(ents)-1))
+			}
+			if q.coalesce && local && e.msg.Mode == ModeKeyed && e.msg.Batch != nil && e.attempt == 0 {
+				// The representative already counts against max, so the
+				// merge budget is the batch's remaining message capacity.
+				next = q.coalesceRun(s, e, next, barSeq, &scanned, max-msgs, &now)
+				msgs += len(e.extraList())
+			}
+			es = append(es, e)
 			n = next
 		}
 	}
-	if len(es) > 0 {
+	if batch && len(es) > 0 {
 		s.stats.batches++
 		s.stats.batchEntries += uint64(msgs)
 		if msgs > s.stats.maxBatch {
 			s.stats.maxBatch = msgs
 		}
-	} else if windowHit {
+	} else if len(es) == 0 && windowHit {
 		s.stats.windowStalls++
 	}
 	return es, retry
-}
-
-// conflictBatch is conflictLocal with the in-batch exception: a key held
-// in flight only counts as a conflict when it is not among the keys
-// acquired by earlier entries of the same batch. The claim-queue head
-// check is unchanged — earlier batch entries popped their claims at
-// harvest, so heading every claim queue *after* the batch's earlier pops
-// is exactly the required order condition. barge entries (ModeBarge)
-// waive the order condition but forgo the in-batch exception: their
-// handlers may park the keys past the batch (that is their use), so
-// batch-order serialization cannot stand in for a free key. Caller
-// holds s.mu; every key in keys is owned by s.
-func (s *shard) conflictBatch(q *Queue, keys []Key, seq uint64, acquired []Key, barge bool) int {
-	for _, k := range keys {
-		if s.inflight[k] > 0 && (barge || !keyIn(acquired, k)) {
-			return conflictKey
-		}
-		if !barge && s.claims[k].peek() != seq {
-			return conflictOrder
-		}
-	}
-	return conflictNone
-}
-
-// keyIn reports whether k was acquired earlier in the batch. Batches are
-// small (bounded by max and the search window), so a linear scan beats a
-// map here.
-func keyIn(acquired []Key, k Key) bool {
-	for _, a := range acquired {
-		if a == k {
-			return true
-		}
-	}
-	return false
 }
 
 // coalesceRun merges the run of pending entries immediately compatible
@@ -352,7 +308,9 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned 
 			!keysEqual(m.Keys, e.msg.Keys) {
 			return n
 		}
-		if s.headsClaims(m.Keys, n.entry.seq) != conflictNone {
+		// The representative — an earlier entry of this batch — holds the
+		// run's keys in flight, so only the claim-queue heads can conflict.
+		if s.conflict(q, m.Keys, n.entry.seq, e.msg.Keys, true, false) != conflictNone {
 			return n
 		}
 		if dl := n.entry.deadline; dl != 0 {
@@ -391,18 +349,6 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned 
 		n = next
 	}
 	return n
-}
-
-// headsClaims checks only the claim-queue head condition (the in-flight
-// keys are held by the representative itself during a coalesce run).
-// Caller holds s.mu; every key is owned by s.
-func (s *shard) headsClaims(keys []Key, seq uint64) int {
-	for _, k := range keys {
-		if s.claims[k].peek() != seq {
-			return conflictOrder
-		}
-	}
-	return conflictNone
 }
 
 // sameBatchHandler reports whether two Batch handlers are the same
@@ -499,7 +445,7 @@ func (q *Queue) releaseUnrun(e *Entry) {
 	for _, m := range e.extraList() {
 		q.readmitOrDeadLetter(m, e.attempt, e.err)
 	}
-	q.finishInflight(ws, len(e.msg.Keys))
+	q.finishInflight(ws, len(e.msg.Keys), 1)
 }
 
 // readmitOrDeadLetter gives one never-executed message back to the
@@ -570,28 +516,23 @@ func (q *Queue) completeBatch(es []*Entry) {
 			}
 		}
 	}
-	// As in finishInflight: the batch's entries retire together; the
-	// drain gate and the pending-before-inflight read order still hold.
-	if q.inflightAll.Add(-int64(len(es))) == 0 && q.drainWaiters.Load() > 0 && q.isIdle() {
-		q.notifyEmpty()
-	}
 	// One generation bump covers the whole batch: sleeping consumers wait
 	// on the generation sum, which any single-shard bump changes. The
 	// wake bound is the batch's total released keys.
-	q.wakeShard(ws, nkeys)
+	q.finishInflight(ws, nkeys, len(es))
 }
 
-// blockDequeue is the eventcount wait loop shared by DequeueContext and
-// DequeueBatch: run attempt until it yields, ctx is done, or the queue is
-// closed and drained. attempt reports (dispatched, inconclusive-retry)
-// exactly like tryDequeue; the generation re-check under waitMu closes
-// the scan-then-sleep race, and the timed backstop bounds the window a
-// lost cross-shard TryLock race (which leaves no eventcount bump behind)
-// can hide a dispatchable entry. When delayed entries are pending, the
-// park additionally arms a timer for the earliest maturity — the wake
-// that lets WithDelay/WithNotBefore deliver on time without any polling
+// blockDequeue is the eventcount wait loop of DequeueContext and
+// DequeueBatch: harvest (up to max entries into buf, as in harvest)
+// until an attempt yields, ctx is done, or the queue is closed and
+// drained. The generation re-check under waitMu closes the
+// scan-then-sleep race, and the timed backstop bounds the window a lost
+// cross-shard TryLock race (which leaves no eventcount bump behind) can
+// hide a dispatchable entry. When delayed entries are pending, the park
+// additionally arms a timer for the earliest maturity — the wake that
+// lets WithDelay/WithNotBefore deliver on time without any polling
 // consumer.
-func (q *Queue) blockDequeue(ctx context.Context, attempt func() (ok, retry bool)) error {
+func (q *Queue) blockDequeue(ctx context.Context, max int, buf []*Entry) ([]*Entry, error) {
 	var stop func() bool
 	defer func() {
 		if stop != nil {
@@ -601,9 +542,9 @@ func (q *Queue) blockDequeue(ctx context.Context, attempt func() (ok, retry bool
 	spins := 0
 	for {
 		g := q.wakeSum()
-		ok, retry := attempt()
-		if ok {
-			return nil
+		es, retry := q.harvest(max, buf)
+		if len(es) > 0 {
+			return es, nil
 		}
 		if q.closed.Load() && q.confirmDrained() {
 			// Cascade the termination wake: shard wakeups are bounded by
@@ -615,10 +556,10 @@ func (q *Queue) blockDequeue(ctx context.Context, attempt func() (ok, retry bool
 			q.waitMu.Lock()
 			q.waitCond.Broadcast()
 			q.waitMu.Unlock()
-			return ErrClosed
+			return nil, ErrClosed
 		}
 		if err := ctx.Err(); err != nil {
-			return err
+			return nil, err
 		}
 		needBackstop := false
 		if retry {

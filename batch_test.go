@@ -3,6 +3,7 @@ package pdq
 import (
 	"context"
 	"errors"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -363,40 +364,107 @@ func TestCoalesceRespectsBatchMax(t *testing.T) {
 	q.Drain()
 }
 
-// TestDequeueBatchOfOneMatchesDequeueContext verifies the max <= 1
-// degenerate form: same entries, same order, same terminal errors as
-// DequeueContext.
+// TestDequeueBatchOfOneMatchesDequeueContext verifies that a batch of one
+// is the single-entry dequeue: driven by one goroutine over the same
+// script, DequeueContext and DequeueBatch(ctx, 1) dispatch the same
+// entries in the same order, leave identical Stats — except the three
+// counters that mean "dequeued through the batch API" — and end in the
+// same terminal errors.
 func TestDequeueBatchOfOneMatchesDequeueContext(t *testing.T) {
-	q := New()
-	for i := 0; i < 4; i++ {
-		if err := q.Enqueue(func(any) {}, WithKey(Key(7)), WithData(i)); err != nil {
-			t.Fatal(err)
-		}
+	noop := func(any) {}
+	scripts := []struct {
+		name    string
+		shards  int
+		enqueue func(t *testing.T, q *Queue) int // admits the script, returns how many entries must dispatch
+	}{
+		{"same-key chain", 1, func(t *testing.T, q *Queue) int {
+			for i := 0; i < 4; i++ {
+				if err := q.Enqueue(noop, WithKey(Key(7)), WithData(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return 4
+		}},
+		{"mixed modes", 4, func(t *testing.T, q *Queue) int {
+			ks := distinctShardKeys(t, q, 3)
+			for i, opts := range [][]EnqueueOption{
+				{WithKey(ks[0])},
+				{NoSync()},
+				{WithKeys(ks[0], ks[1])}, // cross-shard key set
+				{WithKey(ks[1]), Barge()},
+				{WithKey(ks[2]), WithTTL(-time.Second)}, // expired: dead-letters, never dispatches
+				{Sequential()},                          // pending barrier gating everything below
+				{WithKey(ks[0])},
+				{NoSync()},
+				{WithKey(ks[2]), WithPriority(NumPriorities - 1)},
+			} {
+				if err := q.Enqueue(noop, append(opts, WithData(i))...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return 8
+		}},
 	}
-	ctx := context.Background()
-	for i := 0; i < 4; i++ {
-		es, err := q.DequeueBatch(ctx, 1)
-		if err != nil || len(es) != 1 {
-			t.Fatalf("DequeueBatch(ctx, 1): %d entries, err=%v", len(es), err)
-		}
-		if es[0].Message().Data.(int) != i {
-			t.Fatalf("entry %d out of order: %v", i, es[0].Message().Data)
-		}
-		q.Complete(es[0])
-	}
-	q.Close()
-	if _, err := q.DequeueBatch(ctx, 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("after close+drain: err=%v; want ErrClosed", err)
+	for _, sc := range scripts {
+		t.Run(sc.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			// run drains one fresh queue through dequeue and returns the
+			// dispatch order and the comparable part of Stats.
+			run := func(dequeue func(q *Queue) (*Entry, error)) ([]int, Stats) {
+				q := New(WithShards(sc.shards), WithDeadLetter(func(Message, error) {}))
+				want := sc.enqueue(t, q)
+				q.Close()
+				var order []int
+				for {
+					e, err := dequeue(q)
+					if errors.Is(err, ErrClosed) {
+						break
+					}
+					if err != nil {
+						t.Fatalf("after %d dispatches: %v", len(order), err)
+					}
+					order = append(order, e.Message().Data.(int))
+					q.Complete(e)
+				}
+				if len(order) != want {
+					t.Fatalf("dispatched %v; want %d entries", order, want)
+				}
+				st := q.Stats()
+				st.Batches, st.BatchEntries, st.MaxBatch = 0, 0, 0
+				for b := range st.BandLatency {
+					// Latencies are wall-clock; only their counts compare.
+					st.BandLatency[b] = LatencyHistogram{Count: st.BandLatency[b].Count}
+				}
+				return order, st
+			}
+			oneOrder, oneStats := run(func(q *Queue) (*Entry, error) { return q.DequeueContext(ctx) })
+			batchOrder, batchStats := run(func(q *Queue) (*Entry, error) {
+				es, err := q.DequeueBatch(ctx, 1)
+				if err != nil {
+					return nil, err
+				}
+				if len(es) != 1 {
+					t.Fatalf("DequeueBatch(ctx, 1) returned %d entries", len(es))
+				}
+				return es[0], nil
+			})
+			if !reflect.DeepEqual(oneOrder, batchOrder) {
+				t.Fatalf("dispatch order differs:\n DequeueContext:   %v\n DequeueBatch(1): %v", oneOrder, batchOrder)
+			}
+			if oneStats != batchStats {
+				t.Fatalf("stats differ:\n DequeueContext:   %v\n DequeueBatch(1): %v", oneStats, batchStats)
+			}
+		})
 	}
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	q2 := New()
-	defer q2.Close()
-	if _, err := q2.DequeueBatch(cancelled, 1); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx: err=%v; want context.Canceled", err)
-	}
-	if _, err := q2.DequeueBatch(cancelled, 8); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled ctx (batch): err=%v; want context.Canceled", err)
+	q := New()
+	defer q.Close()
+	for _, max := range []int{1, 8} {
+		if _, err := q.DequeueBatch(cancelled, max); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled ctx, max %d: err=%v; want context.Canceled", max, err)
+		}
 	}
 }
 

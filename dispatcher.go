@@ -56,18 +56,20 @@
 //
 // # Batched dispatch
 //
-// The per-entry dequeue path pays a shard-lock acquire/release and an
-// eventcount interaction per entry. TryDequeueBatch and DequeueBatch
-// amortize both across a run of compatible entries: one shard-lock
-// acquisition harvests up to max dispatchable entries (each heading
-// every claim queue it touches after the pops of the earlier entries of
-// the same batch), and RunBatch executes them in dispatch order with the
-// per-entry Complete/Release lifecycle — a mid-batch panic releases only
-// the panicking entry. Pool and MuxPool workers opt in with
-// WithWorkerBatch(n). On queues built WithCoalesce, a harvested run of
-// consecutive entries carrying identical key sets and Batch handlers
-// (the BatchHandler enqueue option) merges into one entry whose Batch
-// handler receives every payload in one invocation.
+// Every dequeue is a harvest: one TryLock'd scan of one shard's pending
+// lists (batch.go). A single-entry dequeue is a harvest of one, paying a
+// shard-lock acquire/release and an eventcount interaction per entry;
+// TryDequeueBatch and DequeueBatch amortize both across a run of
+// compatible entries — one shard-lock acquisition harvests up to max
+// dispatchable entries (each heading every claim queue it touches after
+// the pops of the earlier entries of the same batch) — and RunBatch
+// executes them in dispatch order with the per-entry Complete/Release
+// lifecycle: a mid-batch panic releases only the panicking entry. Pool
+// and MuxPool workers opt in with WithWorkerBatch(n). On queues built
+// WithCoalesce, a harvested run of consecutive entries carrying identical
+// key sets and Batch handlers (the BatchHandler enqueue option) merges
+// into one entry whose Batch handler receives every payload in one
+// invocation.
 //
 // # Scheduling
 //
@@ -574,6 +576,7 @@ func (q *Queue) enqueueReserved(m *Message, attempt uint32, lastErr error) error
 		q.releaseSlot()
 		return err
 	}
+	q.noteKeySet(len(m.Keys))
 	q.wakeShard(home, 1)
 	return nil
 }
@@ -614,59 +617,38 @@ func (q *Queue) enqueueSharded(m *Message, attempt uint32, lastErr error) (*shar
 		smask = 1 << home
 	}
 	h := &q.shards[home]
-	if q.ring > 0 && smask == 1<<home {
-		if err := q.enqueueIntake(h, m, smask, attempt, lastErr); err != nil {
-			return nil, err
-		}
-		q.noteKeySet(len(m.Keys))
-		return h, nil
-	}
-	q.lockMask(smask)
-	q.flushIntakeMask(smask)
-	if attempt == 0 && q.closed.Load() {
-		// Retries (attempt > 0) re-admit work that was accepted before the
-		// close and may proceed; only fresh enqueues are refused.
-		q.unlockMask(smask)
-		return nil, ErrClosed
-	}
-	seq := q.nextSeq.Add(1)
-	if m.Mode != ModeBarge {
-		// Barge entries never join the claim queues: their whole point is
-		// acquisition by key availability alone, outside enqueue order.
-		for _, k := range m.Keys {
-			q.shardOf(k).pushClaim(k, seq)
-		}
-	}
-	if t := q.tr; t != nil && m.TraceID != 0 {
-		t.record(home, m.TraceID, TraceEnqueue, seq, 0)
-		if m.Mode != ModeBarge && len(m.Keys) > 0 {
-			t.record(home, m.TraceID, TraceClaimJoin, seq, int64(len(m.Keys)))
-		}
-	}
-	n := h.newNode()
-	n.entry = Entry{msg: *m, seq: seq, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
+	// The one place a shard entry is constructed, ahead of the fork into
+	// the two admission paths (written inline: a helper's extra call level
+	// on the producer's hot path measures as ~5% of fine_disjoint). The
+	// sequence number comes later, from admitNode; a refused admission
+	// hands the node straight back to the pool.
+	n := h.pool.get()
+	n.entry = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
 	if !m.NotBefore.IsZero() {
 		n.entry.notBefore = toNanos(m.NotBefore)
 	}
 	if !m.Deadline.IsZero() {
 		n.entry.deadline = toNanos(m.Deadline)
 	}
-	if n.entry.notBefore != 0 {
-		// Scheduled delivery: park on the home shard's timer heap.
-		// Claims stay registered, so the entry keeps its per-key queue
-		// position while it sleeps. An already-ripe NotBefore still takes
-		// this path — the next scan's matureRipe promotes it in the same
-		// pass, and routing by the option rather than by a clock read
-		// keeps the delayed counter deterministic across the mutex and
-		// intake-ring admission paths (the ring assigns link time later
-		// than admission time).
-		h.linkDelayed(n, false)
+	var err error
+	if q.ring > 0 && smask == 1<<home {
+		err = q.enqueueIntake(h, n)
 	} else {
-		h.link(n, false)
+		q.lockMask(smask)
+		q.flushIntakeMask(smask)
+		if attempt == 0 && q.closed.Load() {
+			// Retries (attempt > 0) re-admit work that was accepted before
+			// the close and may proceed; only fresh enqueues are refused.
+			err = ErrClosed
+		} else {
+			q.admitNode(h, n, false)
+		}
+		q.unlockMask(smask)
 	}
-	h.stats.enqueued++
-	q.unlockMask(smask)
-	q.noteKeySet(len(m.Keys))
+	if err != nil {
+		h.recycle(n)
+		return nil, err
+	}
 	return h, nil
 }
 
@@ -694,44 +676,13 @@ func (q *Queue) unlockMask(mask uint64) {
 // Complete. TryDequeue never blocks (under cross-shard lock contention it
 // may conservatively report nothing dispatchable).
 func (q *Queue) TryDequeue() (e *Entry, ok bool) {
-	e, ok, _ = q.tryDequeue()
-	return e, ok
-}
-
-// tryDequeue makes one dispatch attempt across the barrier and all shards.
-// retry reports that a cross-shard TryLock failed, i.e. the attempt was
-// inconclusive and the caller should rescan rather than sleep.
-func (q *Queue) tryDequeue() (e *Entry, ok bool, retry bool) {
-	if q.bar.active.Load() {
-		// A sequential handler owns the machine; nothing dispatches.
-		q.g.barrierStalls.Add(1)
-		return nil, false, false
+	// A harvest of one into a one-slot buffer that never leaves the
+	// stack: the only allocation is the dispatched Entry itself.
+	var one [1]*Entry
+	if es, _ := q.harvest(1, one[:0]); len(es) > 0 {
+		return es[0], true
 	}
-	barPending := q.bar.minSeq.Load() != 0
-	if barPending {
-		if e, ok := q.tryActivateBarrier(); ok {
-			return e, true, false
-		}
-	}
-	var start uint32
-	if q.mask != 0 {
-		start = q.rr.Add(1)
-	}
-	for i := uint32(0); i <= q.mask; i++ {
-		s := &q.shards[(start+i)&q.mask]
-		if s.npending.Load() == 0 {
-			continue
-		}
-		e, ok, r := q.scanShard(s)
-		if ok {
-			return e, true, false
-		}
-		retry = retry || r
-	}
-	if barPending {
-		q.g.seqStalls.Add(1)
-	}
-	return nil, false, retry
+	return nil, false
 }
 
 // Dequeue blocks until an entry is dispatchable or the queue is closed and
@@ -758,36 +709,22 @@ const dispatchBackoff = time.Millisecond
 // the queue is closed and fully drained. It returns ErrClosed on
 // close+drain and ctx.Err() on cancellation; any other return is a
 // dispatched entry the caller must Complete (or Release — see Run). The
-// wait protocol lives in blockDequeue (batch.go), shared with
-// DequeueBatch.
+// dispatch attempt is a harvest of one, as in TryDequeue; the wait
+// protocol is blockDequeue (batch.go).
 func (q *Queue) DequeueContext(ctx context.Context) (*Entry, error) {
-	var out *Entry
-	err := q.blockDequeue(ctx, func() (ok, retry bool) {
-		out, ok, retry = q.tryDequeue()
-		return ok, retry
-	})
+	var one [1]*Entry
+	es, err := q.blockDequeue(ctx, 1, one[:0])
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return es[0], nil
 }
 
 // Complete marks a previously dequeued entry's handler as finished,
 // releasing its key set (or the sequential barrier) and waking waiters.
 // Its failure-path dual is Release; every dispatched entry must reach
 // exactly one of the two.
-func (q *Queue) Complete(e *Entry) {
-	ws := q.releaseEntryState(e)
-	if ws != nil {
-		ws.completed.Add(1)
-	} else {
-		q.bar.completed.Add(1)
-	}
-	if t := q.tr; t != nil && e.msg.TraceID != 0 {
-		t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceComplete, e.seq, 0)
-	}
-	q.finishInflight(ws, len(e.msg.Keys))
-}
+func (q *Queue) Complete(e *Entry) { q.complete(e, false) }
 
 // CompleteNext completes e like Complete and then attempts a chain
 // handoff: one targeted dispatch on the shard whose keys e just
@@ -808,6 +745,14 @@ func (q *Queue) Complete(e *Entry) {
 // the caller goes back to its normal Dequeue loop. Sequential entries
 // and entries that released no keys never hand off.
 func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
+	next = q.complete(e, true)
+	return next, next != nil
+}
+
+// complete is the one completion body: free e's synchronization state,
+// count and trace the completion, attempt the chain handoff when asked
+// (see CompleteNext), and retire the in-flight handler.
+func (q *Queue) complete(e *Entry, handoff bool) (next *Entry) {
 	ws := q.releaseEntryState(e)
 	if ws != nil {
 		ws.completed.Add(1)
@@ -818,15 +763,16 @@ func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
 		t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceComplete, e.seq, 0)
 	}
 	nkeys := len(e.msg.Keys)
-	if ws != nil && nkeys > 0 && !q.bar.active.Load() {
-		if n, claimed, _ := q.scanShard(ws); claimed {
-			next, ok = n, true
+	if handoff && ws != nil && nkeys > 0 && !q.bar.active.Load() {
+		var one [1]*Entry
+		if es, _ := q.harvestShard(ws, 1, one[:0]); len(es) > 0 {
+			next = es[0]
 			q.g.handoffs.Add(1)
-			if t := q.tr; t != nil && n.msg.TraceID != 0 {
+			if t := q.tr; t != nil && next.msg.TraceID != 0 {
 				// The handoff event belongs to the claimed successor; Arg
 				// carries the completer's seq so the analyzer can stitch
 				// chain critical paths link to link.
-				t.record(ws.idx, n.msg.TraceID, TraceHandoff, n.seq, int64(e.seq))
+				t.record(ws.idx, next.msg.TraceID, TraceHandoff, next.seq, int64(e.seq))
 			}
 			// The claimed entry consumes a wake slot only when it IS one
 			// of the completion's successors (shares a released key).
@@ -834,13 +780,13 @@ func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
 			// may belong to a different chain; e's own successor then
 			// still needs its wakeup, or it idles until some unrelated
 			// scan stumbles on it.
-			if keySetsOverlap(e.msg.Keys, n.msg.Keys) {
+			if keySetsOverlap(e.msg.Keys, next.msg.Keys) {
 				nkeys--
 			}
 		}
 	}
-	q.finishInflight(ws, nkeys)
-	return next, ok
+	q.finishInflight(ws, nkeys, 1)
+	return next
 }
 
 // keySetsOverlap reports whether two key sets share a key. Key sets are
@@ -883,15 +829,16 @@ func (q *Queue) releaseEntryState(e *Entry) *shard {
 	}
 }
 
-// finishInflight retires one in-flight handler: it decrements the global
-// in-flight count, completes a Drain that was waiting on it, and wakes
-// consumers (scoped to ws when the event is shard-local). nkeys is the
-// number of keys the entry released — the wake bound wakeShard needs.
-func (q *Queue) finishInflight(ws *shard, nkeys int) {
+// finishInflight retires n in-flight handlers that resolved together
+// (one, outside a batch): it drops the global in-flight count, completes
+// a Drain that was waiting on it, and wakes consumers (scoped to ws when
+// the event is shard-local). nkeys is the number of keys released — the
+// wake bound wakeShard needs.
+func (q *Queue) finishInflight(ws *shard, nkeys, n int) {
 	// The drainWaiters gate is sound because Drain publishes its waiter
 	// count before checking emptiness itself; isIdle re-checks in the one
 	// read order the dispatch protocol makes safe.
-	if q.inflightAll.Add(-1) == 0 && q.drainWaiters.Load() > 0 && q.isIdle() {
+	if q.inflightAll.Add(-int64(n)) == 0 && q.drainWaiters.Load() > 0 && q.isIdle() {
 		q.notifyEmpty()
 	}
 	if ws != nil {

@@ -59,7 +59,7 @@ func (q *Queue) Release(e *Entry, err error) {
 	for _, m := range e.extraList() {
 		q.resolveFailed(m, e.attempt, err)
 	}
-	q.finishInflight(ws, len(e.msg.Keys))
+	q.finishInflight(ws, len(e.msg.Keys), 1)
 }
 
 // resolveFailed routes one released message through the failure policy:

@@ -10,10 +10,10 @@ package pdq
 //     A producer claims a slot with one atomic Add on the ring tail and
 //     publishes with one release store of the slot's sequence word; the
 //     message never touches the shard mutex. The harvesting consumer —
-//     which already holds the shard lock for its scan or batch harvest —
-//     drains the published prefix into the per-band pending lists in one
-//     pass, assigning global sequence numbers and pushing key claims as
-//     it goes. Steady-state enqueue is therefore lock-free, and the
+//     which already holds the shard lock for its harvest — drains the
+//     published prefix into the per-band pending lists in one pass,
+//     assigning global sequence numbers and pushing key claims as it
+//     goes. Steady-state enqueue is therefore lock-free, and the
 //     intake bookkeeping amortizes into lock acquisitions the consumer
 //     was making anyway.
 //
@@ -161,13 +161,14 @@ func resolveIntakeRing(n int) int {
 }
 
 // enqueueIntake is the lock-free admission path for an entry homed
-// wholly on shard s. The npending bump precedes the closed check (the
-// Dekker handshake described at the top of the file); the backout path
-// must re-run the drain-idle check because a Drain caller may have
-// observed the transient pending count and parked.
-func (q *Queue) enqueueIntake(s *shard, m *Message, smask uint64, attempt uint32, lastErr error) error {
+// wholly on shard s, already built into node n. The npending bump
+// precedes the closed check (the Dekker handshake described at the top
+// of the file); the backout path must re-run the drain-idle check
+// because a Drain caller may have observed the transient pending count
+// and parked.
+func (q *Queue) enqueueIntake(s *shard, n *node) error {
 	s.npending.Add(1)
-	if attempt == 0 && q.closed.Load() {
+	if n.entry.attempt == 0 && q.closed.Load() {
 		// Retries re-admit pre-close work, exactly as on the mutex path.
 		s.npending.Add(-1)
 		if q.drainWaiters.Load() > 0 && q.isIdle() {
@@ -175,18 +176,10 @@ func (q *Queue) enqueueIntake(s *shard, m *Message, smask uint64, attempt uint32
 		}
 		return ErrClosed
 	}
-	n := s.pool.get()
-	n.entry = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
-	if !m.NotBefore.IsZero() {
-		n.entry.notBefore = toNanos(m.NotBefore)
-	}
-	if !m.Deadline.IsZero() {
-		n.entry.deadline = toNanos(m.Deadline)
-	}
-	if t := q.tr; t != nil && m.TraceID != 0 {
+	if t, id := q.tr, n.entry.msg.TraceID; t != nil && id != 0 {
 		// Seq is not assigned yet on the ring path; the drain records
 		// TraceRingDrain with the seq once it links the entry.
-		t.record(s.idx, m.TraceID, TraceEnqueue, 0, 1)
+		t.record(s.idx, id, TraceEnqueue, 0, 1)
 	}
 	q.publishIntake(s, n)
 	return nil
@@ -244,7 +237,7 @@ publish:
 
 // drainIntake moves intake-ring entries into s's pending structures,
 // consuming ring positions below stop in claim order. wait=false stops
-// at the first claimed-but-unpublished slot (the scan's prefix drain);
+// at the first claimed-but-unpublished slot (the harvest's prefix drain);
 // wait=true spins for stragglers — required by the paths that assign a
 // sequence number afterwards (multi-shard enqueue, barrier enqueue, the
 // ring-full fallback), whose ordering argument needs every slot claimed
@@ -279,19 +272,9 @@ func (q *Queue) drainIntake(s *shard, stop uint64, wait bool) {
 		sl.n = nil
 		sl.seq.Store(head + size)
 		head++
-		q.linkDrained(s, n)
+		q.admitNode(s, n, true)
 	}
 	in.head = head
-}
-
-// drainIntakeScan is the harvest-path prefix drain: consume whatever is
-// already published, never waiting on stragglers (an unpublished claim
-// is an Enqueue that has not returned — the scan owes it nothing).
-// Caller holds s.mu.
-func (q *Queue) drainIntakeScan(s *shard) {
-	if s.in.slots != nil {
-		q.drainIntake(s, s.in.tail.Load(), false)
-	}
 }
 
 // flushIntakeMask drains the intake rings of every shard named in mask
@@ -328,41 +311,8 @@ func (q *Queue) flushIntakeAll() {
 	}
 }
 
-// linkDrained admits one ring entry into s's pending structures: it
-// fetches the entry's global sequence number, registers its key claims
-// (every key of a ring entry is owned by s; barge entries hold no claim
-// positions), and links it mature or delayed. The npending count was
-// already taken by the producer, so linking must not re-add it. Caller
-// holds s.mu.
-func (q *Queue) linkDrained(s *shard, n *node) {
-	seq := q.nextSeq.Add(1)
-	n.entry.seq = seq
-	m := &n.entry.msg
-	if m.Mode != ModeBarge {
-		for _, k := range m.Keys {
-			s.pushClaim(k, seq)
-		}
-	}
-	if t := s.tr; t != nil && m.TraceID != 0 {
-		t.record(s.idx, m.TraceID, TraceRingDrain, seq, 0)
-		if m.Mode != ModeBarge && len(m.Keys) > 0 {
-			t.record(s.idx, m.TraceID, TraceClaimJoin, seq, int64(len(m.Keys)))
-		}
-	}
-	if n.entry.notBefore != 0 {
-		// Route by the option, not a clock read: an entry that matured in
-		// the ring still counts as delayed (the scan's matureRipe promotes
-		// it in this same pass), matching the mutex admission path.
-		s.linkDelayed(n, true)
-	} else {
-		s.link(n, true)
-	}
-	s.stats.enqueued++
-}
-
-// noteKeySet folds one message's key-set size into the MaxKeySet
-// high-water mark. Lock-free; shared by the ring and mutex admission
-// paths.
+// noteKeySet folds one admitted message's key-set size into the
+// MaxKeySet high-water mark. Lock-free.
 func (q *Queue) noteKeySet(l int) {
 	if l == 0 {
 		return

@@ -277,29 +277,6 @@ func (h *timerHeap) pop() *node {
 	return n
 }
 
-// linkDelayed parks an immature entry on its home shard: it joins the
-// timer heap (by maturity) and the delayed list (by seq, so the shard's
-// minimum pending seq — which gates Sequential barriers — still covers
-// it). preCounted is true for intake-ring entries, whose producer already
-// counted them into npending (see shard.link). Caller holds s.mu.
-func (s *shard) linkDelayed(n *node, preCounted bool) {
-	if s.delayed.append(n) {
-		s.updateMinSeq()
-	}
-	s.timers.push(n)
-	s.nextMature.Store(s.timers.nextMature())
-	var p int64
-	if preCounted {
-		p = s.npending.Load()
-	} else {
-		p = s.npending.Add(1)
-	}
-	if int(p) > s.stats.maxPending {
-		s.stats.maxPending = int(p)
-	}
-	s.stats.delayed++
-}
-
 // matureRipe moves every ripe delayed entry into its priority band (in
 // seq position, keeping band lists seq-ascending). Expiry is NOT checked
 // here — a matured entry whose deadline already passed is expired by the
@@ -396,27 +373,38 @@ func (s *shard) creditDispatch(b int, e *Entry, now *int64) {
 	}
 }
 
-// tryExpire removes an expired pending entry without dispatching it: its
-// claims are deleted on every involved shard (foreign shards TryLock'd,
-// as in cross-shard dispatch), the entry leaves the pending list, its
-// capacity slot returns, and its message is queued for the dead-letter
-// hook — which the caller runs via finishExpired after dropping the
-// shard lock. The in-flight count is raised first, mirroring the
-// dispatch protocol, so Drain cannot observe an idle queue while the
-// hook is still owed. Reports false when a foreign shard's lock was
-// unavailable; the entry stays pending for a later attempt. Caller
-// holds s.mu.
+// expireIfDue applies the lazy deadline check to one scanned node,
+// fetching the clock at most once per scan through *now, and removes the
+// entry without dispatching it when its deadline has passed: its claims
+// are deleted on every involved shard (foreign shards TryLock'd, as in
+// cross-shard dispatch), the entry leaves the pending list, its capacity
+// slot returns, and its message is queued for the dead-letter hook —
+// which the caller runs via finishExpired after dropping the shard lock.
+// The in-flight count is raised first, mirroring the dispatch protocol,
+// so Drain cannot observe an idle queue while the hook is still owed.
+// handled=true means the scan must skip the node: it was expired (and
+// unlinked), or — retry=true — a foreign shard's lock was unavailable and
+// the entry stays pending for a later attempt. Caller holds s.mu.
 //
 //pdq:crossshard — holds s.mu while touching foreign shards.
-func (q *Queue) tryExpire(s *shard, n *node, expired *[]Message) bool {
+func (q *Queue) expireIfDue(s *shard, n *node, now *int64, expired *[]Message) (handled, retry bool) {
 	e := &n.entry
+	if e.deadline == 0 {
+		return false, false
+	}
+	if *now == 0 {
+		*now = nowNanos()
+	}
+	if e.deadline > *now {
+		return false, false
+	}
 	var locked uint64
 	for m := e.smask &^ (1 << s.idx); m != 0; {
 		i := bits.TrailingZeros64(m)
 		m &^= 1 << i
 		if !q.shards[i].mu.TryLock() {
 			q.unlockMask(locked)
-			return false
+			return true, true
 		}
 		locked |= 1 << i
 	}
@@ -436,38 +424,12 @@ func (q *Queue) tryExpire(s *shard, n *node, expired *[]Message) bool {
 	s.stats.expired++
 	*expired = append(*expired, e.msg)
 	s.recycle(n)
-	return true
-}
-
-// expireIfDue applies the lazy deadline check to one scanned node,
-// fetching the clock at most once per scan through *now, and expires
-// the node when its deadline has passed. handled=true means the scan
-// must skip the node — it was expired (and unlinked), or a foreign
-// shard's lock was unavailable (retry, as in tryExpire). Shared by the
-// single-dequeue scan and the batch harvest so the two expiry paths
-// cannot diverge. Caller holds s.mu.
-//
-//pdq:crossshard — holds s.mu; expiry may reach into foreign shards.
-func (q *Queue) expireIfDue(s *shard, n *node, now *int64, expired *[]Message) (handled, retry bool) {
-	dl := n.entry.deadline
-	if dl == 0 {
-		return false, false
-	}
-	if *now == 0 {
-		*now = nowNanos()
-	}
-	if dl > *now {
-		return false, false
-	}
-	if q.tryExpire(s, n, expired) {
-		return true, false
-	}
-	return true, true
+	return true, false
 }
 
 // finishExpired resolves the entries a scan expired: each message goes
 // to the dead-letter hook with ErrExpired, then the in-flight holds
-// taken by tryExpire retire (completing a waiting Drain) and consumers
+// taken by expireIfDue retire (completing a waiting Drain) and consumers
 // are woken — removing an expired entry's claims can unblock same-key
 // successors on any shard. Must be called with no shard lock held.
 func (q *Queue) finishExpired(ms []Message) {
@@ -477,10 +439,7 @@ func (q *Queue) finishExpired(ms []Message) {
 	for _, m := range ms {
 		q.deadLetterMsg(m, ErrExpired)
 	}
-	if q.inflightAll.Add(-int64(len(ms))) == 0 && q.drainWaiters.Load() > 0 && q.isIdle() {
-		q.notifyEmpty()
-	}
-	q.wakeGlobal()
+	q.finishInflight(nil, 0, len(ms))
 }
 
 // nextTimerWake returns the earliest maturity instant across all shards,

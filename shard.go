@@ -218,18 +218,70 @@ func (s *shard) removeClaim(k Key, seq uint64) {
 	panic("pdq: claim removal for absent sequence")
 }
 
-// link appends n to its priority band's pending list. Caller holds s.mu;
-// the list stays seq-ascending because sequence numbers are assigned
-// under the home shard's lock. preCounted is true when the entry arrived
-// through the intake ring: its producer already added it to npending at
-// admission time (the count is what makes ring entries visible to Drain
-// and the consumers' shard-skip check before they are drained).
-func (s *shard) link(n *node, preCounted bool) {
-	if s.bands[n.entry.msg.Priority].append(n) {
+// admitNode gives n, homed on s, its place in the queue — the admission
+// tail shared by the mutex path and the intake-ring drain. It fetches
+// the entry's global sequence number, registers its key claims on their
+// owning shards, and links it into its priority band, or, for a
+// scheduled entry, into the delayed list and timer heap. Caller holds
+// the lock of every shard in the entry's smask across the call, so each
+// per-key claim queue is pushed in strictly increasing seq order — the
+// property the whole cross-shard FIFO discipline rests on — and each
+// pending list stays seq-ascending.
+//
+// ring is true when the entry arrived through the intake ring: its
+// producer already added it to npending at admission time (the count is
+// what makes ring entries visible to Drain and the consumers' shard-skip
+// check before they are drained), so linking must not re-add it, and its
+// TraceEnqueue was recorded at publish.
+func (q *Queue) admitNode(s *shard, n *node, ring bool) {
+	e := &n.entry
+	m := &e.msg
+	e.seq = q.nextSeq.Add(1)
+	claims := m.Mode != ModeBarge && len(m.Keys) > 0
+	if claims {
+		// Barge entries never join the claim queues: their whole point is
+		// acquisition by key availability alone, outside enqueue order.
+		local := e.smask == 1<<s.idx
+		for _, k := range m.Keys {
+			o := s
+			if !local {
+				o = q.shardOf(k)
+			}
+			o.pushClaim(k, e.seq)
+		}
+	}
+	if t := s.tr; t != nil && m.TraceID != 0 {
+		kind := TraceEnqueue
+		if ring {
+			kind = TraceRingDrain
+		}
+		t.record(s.idx, m.TraceID, kind, e.seq, 0)
+		if claims {
+			t.record(s.idx, m.TraceID, TraceClaimJoin, e.seq, int64(len(m.Keys)))
+		}
+	}
+	if e.notBefore != 0 {
+		// Scheduled delivery: park on the home shard's timer heap (by
+		// maturity) and delayed list (by seq, so the shard's minimum
+		// pending seq — which gates Sequential barriers — still covers
+		// it). Claims stay registered, so the entry keeps its per-key
+		// queue position while it sleeps. An already-ripe NotBefore still
+		// takes this path — the next scan's matureRipe promotes it in the
+		// same pass, and routing by the option rather than by a clock read
+		// keeps the delayed counter deterministic across the mutex and
+		// intake-ring admission paths (the ring links later than it
+		// admits).
+		if s.delayed.append(n) {
+			s.updateMinSeq()
+		}
+		s.timers.push(n)
+		s.nextMature.Store(s.timers.nextMature())
+		s.stats.delayed++
+	} else if s.bands[m.Priority].append(n) {
 		s.updateMinSeq()
 	}
 	var p int64
-	if preCounted {
+	if ring {
 		p = s.npending.Load()
 	} else {
 		p = s.npending.Add(1)
@@ -237,6 +289,7 @@ func (s *shard) link(n *node, preCounted bool) {
 	if int(p) > s.stats.maxPending {
 		s.stats.maxPending = int(p)
 	}
+	s.stats.enqueued++
 }
 
 // unlink removes n from its band's pending list. Caller holds s.mu.
@@ -246,16 +299,6 @@ func (s *shard) unlink(n *node) {
 	}
 	s.npending.Add(-1)
 }
-
-// take copies the entry out of a node, recycles the node, and returns a
-// heap entry handed to the caller.
-func (s *shard) take(n *node) *Entry {
-	e := n.entry
-	s.recycle(n)
-	return &e
-}
-
-func (s *shard) newNode() *node { return s.pool.get() }
 
 func (s *shard) recycle(n *node) { s.pool.put(n) }
 
@@ -306,19 +349,32 @@ const (
 	conflictOrder // an earlier enqueued entry claims an overlapping key
 )
 
-// conflictLocal checks a key subset owned by s against s's in-flight and
-// claim state, mirroring the original scan's per-key order: an in-flight
-// key counts as a key conflict, an earlier claim as an order conflict.
-// all=true checks every key (single-shard entries); otherwise only keys
-// owned by s are examined. barge=true (ModeBarge entries) waives the
-// claim-order condition — such entries hold no claim-queue position and
-// acquire on key availability alone. Caller holds s.mu.
-func (s *shard) conflictLocal(q *Queue, keys []Key, seq uint64, all, barge bool) int {
+// conflict checks an entry's keys against s's in-flight and claim state,
+// key by key in slice order: an in-flight key counts as a key conflict,
+// an earlier claim as an order conflict. all=true checks every key
+// (entries homed wholly on s); otherwise only the keys s owns are
+// examined (one shard's share of a cross-shard entry).
+//
+// acquired is the in-batch exception: the keys taken by earlier entries
+// of the harvest in progress (nil outside a batch and for cross-shard
+// entries — foreign shards know nothing of the batch). A key held in
+// flight only by such an entry is not a conflict, because batch order
+// serializes the two on the executing goroutine. The claim-queue head
+// check needs no exception — earlier batch entries popped their claims
+// at harvest, so heading every claim queue *after* those pops is exactly
+// the required order condition.
+//
+// barge=true (ModeBarge entries) waives the claim-order condition — such
+// entries hold no claim-queue position and acquire on key availability
+// alone — but forgoes the in-batch exception: a barge handler may park
+// its keys past the batch (that is its use), so batch-order
+// serialization cannot stand in for a free key. Caller holds s.mu.
+func (s *shard) conflict(q *Queue, keys []Key, seq uint64, acquired []Key, all, barge bool) int {
 	for _, k := range keys {
 		if !all && q.shardIndex(k) != s.idx {
 			continue
 		}
-		if s.inflight[k] > 0 {
+		if s.inflight[k] > 0 && (barge || !keyIn(acquired, k)) {
 			return conflictKey
 		}
 		if !barge && s.claims[k].peek() != seq {
@@ -328,181 +384,36 @@ func (s *shard) conflictLocal(q *Queue, keys []Key, seq uint64, all, barge bool)
 	return conflictNone
 }
 
-func (s *shard) countConflict(kind int) {
-	if kind == conflictOrder {
-		s.stats.orderConflicts++
-	} else {
-		s.stats.keyConflicts++
-	}
-}
-
-// scanShard performs the bounded associative search over one shard's
-// pending lists — the per-shard analogue of the paper's dispatch-buffer
-// scan. Ripe delayed entries mature into their bands first; then the
-// bands are walked in scheduling order (bandOrder: highest first, a
-// starved band boosted to the front). Each band list is seq-ascending,
-// so a pending sequential barrier gates a band with a single comparison,
-// and order preservation across key sets falls out of the claim queues:
-// a later entry overlapping any earlier pending entry's key cannot head
-// that key's claim queue, whatever their bands. Expired entries met by
-// the scan are dropped to the dead-letter hook instead of dispatched.
-//
-// The shard lock is TryLock'd: a consumer never parks on a shard another
-// consumer is already scanning (that consumer will dispatch whatever is
-// dispatchable there). retry reports such an inconclusive skip, or a
-// cross-shard TryLock failure; the caller rescans instead of sleeping.
-func (q *Queue) scanShard(s *shard) (e *Entry, ok bool, retry bool) {
-	if !s.mu.TryLock() {
-		return nil, false, true
-	}
-	var expired []Message
-	e, ok, retry = q.scanLocked(s, &expired)
-	s.mu.Unlock()
-	q.finishExpired(expired)
-	return e, ok, retry
-}
-
-// scanLocked is scanShard's body. Caller holds s.mu and must pass the
-// expired messages to finishExpired after unlocking.
-//
-//pdq:crossshard — holds s.mu; dispatch and expiry reach foreign shards.
-func (q *Queue) scanLocked(s *shard, expired *[]Message) (e *Entry, ok, retry bool) {
-	q.drainIntakeScan(s)
-	// The barrier gate must be read AFTER the intake drain: a drained
-	// entry's seq is fetched above, so if it landed past a pending
-	// barrier, the barrier's floor store is ordered before that fetch and
-	// this load is guaranteed to observe the gate. Reading the gate first
-	// could dispatch a just-drained post-barrier entry ahead of the
-	// barrier.
-	barSeq := q.bar.minSeq.Load()
-	var now int64 // fetched lazily: idle scans never read the clock; the first expiry check or dispatch does
-	if s.timers.len() > 0 {
-		now = nowNanos()
-		s.matureRipe(now)
-	}
-	windowHit := false
-	order := s.bandOrder()
-	for _, b := range order {
-		// The window budget is per band (as it is per shard): a higher
-		// band full of order-conflicted entries must not exhaust the
-		// budget before the band holding the oldest dispatchable entry
-		// is reached — with nothing in flight that entry is the scan's
-		// guaranteed find, the invariant that makes parking safe.
-		scanned := 0
-		for n := s.bands[b].head; n != nil; {
-			if q.window > 0 && scanned >= q.window {
-				windowHit = true
-				break
-			}
-			if barSeq != 0 && n.entry.seq >= barSeq {
-				// Entries at or past a pending sequential barrier's queue
-				// position may not dispatch until the barrier completes;
-				// the band is seq-ordered, so the rest of it is blocked
-				// too (other bands may still hold earlier entries).
-				break
-			}
-			scanned++
-			next := n.next
-			if handled, r := q.expireIfDue(s, n, &now, expired); handled {
-				retry = retry || r
-				n = next
-				continue
-			}
-			m := &n.entry.msg
-			if m.Mode == ModeNoSync {
-				q.inflightAll.Add(1)
-				s.unlink(n)
-				q.releaseSlot()
-				s.stats.dispatched++
-				s.stats.noSyncDispatched++
-				s.creditDispatch(int(b), &n.entry, &now)
-				return s.take(n), true, retry
-			}
-			// ModeKeyed or ModeBarge (a keyless entry has an empty key set
-			// and no conflicts; a barge entry skips the claim-order check
-			// and has no claims to pop).
-			barge := m.Mode == ModeBarge
-			if n.entry.smask == 1<<s.idx {
-				kind := s.conflictLocal(q, m.Keys, n.entry.seq, true, barge)
-				if kind == conflictNone {
-					q.inflightAll.Add(1)
-					for _, k := range m.Keys {
-						s.inflight[k]++
-						if !barge {
-							s.popClaim(k, n.entry.seq)
-						}
-					}
-					s.unlink(n)
-					q.releaseSlot()
-					s.stats.dispatched++
-					if barge {
-						s.stats.bargeDispatched++
-					}
-					if len(m.Keys) > 1 {
-						s.stats.multiKeyDispatched++
-					}
-					s.creditDispatch(int(b), &n.entry, &now)
-					return s.take(n), true, retry
-				}
-				s.countConflict(kind)
-				n = next
-				continue
-			}
-			ok2, kind, r := q.tryDispatchCross(s, n)
-			if ok2 {
-				s.creditDispatch(int(b), &n.entry, &now)
-				return s.take(n), true, retry
-			}
-			if r {
-				retry = true
-			} else {
-				s.countConflict(kind)
-			}
-			n = next
+// keyIn reports whether k was acquired earlier in the batch. Batches are
+// small (bounded by max and the search window), so a linear scan beats a
+// map here.
+func keyIn(acquired []Key, k Key) bool {
+	for _, a := range acquired {
+		if a == k {
+			return true
 		}
 	}
-	if windowHit {
-		s.stats.windowStalls++
-	}
-	return nil, false, retry
+	return false
 }
 
-// tryDispatchCross attempts to dispatch a cross-shard entry homed on s
-// (s.mu held). Foreign shards are TryLock'd — never blocked on while
-// holding s.mu — so lock contention aborts with retry=true instead of
-// risking an ABBA deadlock; the consumer rescans. On success every key is
-// acquired on its owning shard and the entry is unlinked from s.
-//
-//pdq:crossshard
-func (q *Queue) tryDispatchCross(s *shard, n *node) (ok bool, kind int, retry bool) {
+// acquire takes the pending entry of n, homed on s and found free of
+// conflicts, into flight: every key's in-flight count rises and its
+// claim pops on the owning shard (a keyless or nosync entry has no keys;
+// a barge entry has no claims to pop), the entry leaves its pending
+// list, and its capacity slot returns. inflightAll rises BEFORE the
+// unlink drops npending — the order isIdle's reads depend on. Caller
+// holds s.mu and, for a cross-shard entry, the lock of every other
+// shard in its smask.
+func (q *Queue) acquire(s *shard, n *node) {
 	e := &n.entry
+	local := e.smask == 1<<s.idx
 	barge := e.msg.Mode == ModeBarge
-	// Cheap local pre-check before touching other shards.
-	if kind := s.conflictLocal(q, e.msg.Keys, e.seq, false, barge); kind != conflictNone {
-		return false, kind, false
-	}
-	var locked uint64
-	defer func() { q.unlockMask(locked) }()
-	for m := e.smask &^ (1 << s.idx); m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << i
-		if !q.shards[i].mu.TryLock() {
-			return false, conflictNone, true
-		}
-		locked |= 1 << i
-	}
-	for m := locked; m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << i
-		f := &q.shards[i]
-		if kind := f.conflictLocal(q, e.msg.Keys, e.seq, false, barge); kind != conflictNone {
-			return false, kind, false
-		}
-	}
-	// Dispatchable: acquire every key on its owning shard.
 	q.inflightAll.Add(1)
 	for _, k := range e.msg.Keys {
-		o := q.shardOf(k)
+		o := s
+		if !local {
+			o = q.shardOf(k)
+		}
 		o.inflight[k]++
 		if !barge {
 			o.popClaim(k, e.seq)
@@ -511,12 +422,51 @@ func (q *Queue) tryDispatchCross(s *shard, n *node) (ok bool, kind int, retry bo
 	s.unlink(n)
 	q.releaseSlot()
 	s.stats.dispatched++
-	if barge {
+	switch {
+	case e.msg.Mode == ModeNoSync:
+		s.stats.noSyncDispatched++
+	case barge:
 		s.stats.bargeDispatched++
 	}
 	if len(e.msg.Keys) > 1 {
 		s.stats.multiKeyDispatched++
 	}
-	q.g.crossShard.Add(1)
-	return true, conflictNone, false
+	if !local {
+		q.g.crossShard.Add(1)
+	}
+}
+
+// tryDispatchCross attempts to dispatch a cross-shard entry homed on s
+// (s.mu held). Foreign shards are TryLock'd — never blocked on while
+// holding s.mu — so lock contention aborts with retry=true instead of
+// risking an ABBA deadlock; the consumer rescans. On conflictNone every
+// key is acquired on its owning shard and the entry is unlinked from s.
+//
+//pdq:crossshard
+func (q *Queue) tryDispatchCross(s *shard, n *node) (kind int, retry bool) {
+	e := &n.entry
+	barge := e.msg.Mode == ModeBarge
+	// Cheap local pre-check before touching other shards.
+	if kind := s.conflict(q, e.msg.Keys, e.seq, nil, false, barge); kind != conflictNone {
+		return kind, false
+	}
+	var locked uint64
+	defer func() { q.unlockMask(locked) }()
+	for m := e.smask &^ (1 << s.idx); m != 0; {
+		i := bits.TrailingZeros64(m)
+		m &^= 1 << i
+		if !q.shards[i].mu.TryLock() {
+			return conflictNone, true
+		}
+		locked |= 1 << i
+	}
+	for m := locked; m != 0; {
+		i := bits.TrailingZeros64(m)
+		m &^= 1 << i
+		if kind := q.shards[i].conflict(q, e.msg.Keys, e.seq, nil, false, barge); kind != conflictNone {
+			return kind, false
+		}
+	}
+	q.acquire(s, n)
+	return conflictNone, false
 }
