@@ -9,7 +9,11 @@ import "testing"
 // tenth of an allocation per message), so a result slice or an in-batch
 // key set that reaches the heap on the single-entry path fails here in
 // milliseconds rather than in a benchmark run. Each cycle costs the
-// message's key slice and the dispatched Entry; nothing else.
+// message's key slice and the dispatched Entry; nothing else — also with
+// a backlog on hundreds of distinct keys at once, where every key needs
+// its own record and claim: those come off the shard's free lists (the
+// per-key claim FIFOs they replaced were pooled 64 deep, so a wider
+// backlog allocated one per message).
 func TestDispatchPathAllocs(t *testing.T) {
 	noop := func(any) {}
 	for _, shards := range []int{1, 4} {
@@ -48,6 +52,21 @@ func TestDispatchPathAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		const wide = 256
+		backlog := func() {
+			for i := 0; i < wide; i++ {
+				if err := q.EnqueueMessage(Message{Handler: noop, Keys: []Key{Key(1000 + i)}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < wide; i++ {
+				e, ok := q.TryDequeue()
+				if !ok {
+					t.Fatal("nothing dispatchable")
+				}
+				q.Complete(e)
+			}
+		}
 		for _, c := range []struct {
 			name string
 			f    func()
@@ -57,6 +76,7 @@ func TestDispatchPathAllocs(t *testing.T) {
 			{"key-set", cycle(Message{Handler: noop, Keys: keys}), 2},
 			{"nosync", cycle(Message{Handler: noop, Mode: ModeNoSync}), 1},
 			{"chain-handoff", chain, 4},
+			{"wide-backlog", backlog, 3 * wide}, // the literal key slice, its admission copy, the Entry
 		} {
 			c.f() // warm the node pool, claim queues and maps
 			if got := testing.AllocsPerRun(200, c.f); got != c.want {

@@ -8,7 +8,7 @@ import (
 // barrier implements ModeSequential as a cross-shard epoch barrier.
 // Sequential entries never enter a shard's pending list; they queue here
 // in seq order. minSeq publishes the earliest pending or active barrier's
-// sequence number (0 = none): every shard scan refuses entries at or past
+// sequence number (0 = none): every shard harvest refuses entries at or past
 // that position, so the epoch before the barrier drains across all shards,
 // the barrier activates once every shard's earliest pending entry is past
 // it and nothing is in flight, runs alone, and then releases the next
@@ -55,7 +55,7 @@ func (q *Queue) enqueueSequential(m *Message, attempt uint32, lastErr error) err
 	b.queue = append(b.queue, Entry{msg: *m, seq: seq, attempt: attempt, err: lastErr})
 	if !b.active.Load() {
 		// Exact publication. While a barrier is active its own (smaller)
-		// seq must keep gating the scans, so leave minSeq alone then.
+		// seq must keep gating the harvests, so leave minSeq alone then.
 		b.minSeq.Store(b.queue[0].seq)
 	}
 	p := b.npending.Add(1)
@@ -98,7 +98,7 @@ func (q *Queue) tryActivateBarrier() (*Entry, bool) {
 	b.queue = b.queue[:len(b.queue)-1]
 	b.active.Store(true)
 	// minSeq stays at e.seq while the handler runs: every pending entry
-	// has a later seq, so the scans' barrier gate keeps the machine idle.
+	// has a later seq, so the harvests' barrier gate keeps the machine idle.
 	q.inflightAll.Add(1)
 	b.npending.Add(-1)
 	q.releaseSlot()

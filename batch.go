@@ -10,13 +10,14 @@ import (
 	"unsafe"
 )
 
-// This file holds the queue's one dispatch scan (harvestShard) and the
-// batch API over it. Every dequeue is a harvest; TryDequeue,
-// DequeueContext and CompleteNext's chain handoff harvest one entry.
+// This file holds the queue's one dispatch path (harvestLocked: pops from
+// a shard's ready lists) and the batch API over it. Every dequeue is a
+// harvest; TryDequeue, DequeueContext and a CompleteNext that made no
+// successor ready harvest one entry.
 //
 // Batched dispatch amortizes the per-entry dispatch cost — a shard lock
-// acquire/release, an eventcount round trip, and a claim-queue walk per
-// entry — across a whole run of compatible entries: one harvest takes a
+// acquire/release and an eventcount round trip per entry — across a
+// whole run of compatible entries: one harvest takes a
 // shard's lock once and collects up to max dispatchable entries, and one
 // blocking dequeue performs a single eventcount interaction for all of
 // them. The paper's economics (dispatch-time synchronization only wins
@@ -24,16 +25,17 @@ import (
 // are what make this matter: with fine-grain handlers of a few hundred
 // nanoseconds, per-entry locking is a constant tax batching removes.
 //
-// A batch is harvested in sequence order from a single shard's pending
-// list, so executing its entries in slice order on one goroutine (see
+// A batch is harvested band by band, oldest first, from a single shard's
+// ready lists, so executing its entries in slice order on one goroutine (see
 // RunBatch) preserves exactly the dispatch order a per-entry consumer
 // would have produced. Entries in the same batch may even share keys: an
 // entry that fails the idle-key test only because an *earlier entry of
 // the same batch* holds the key is still harvested, because in-batch
-// order serializes the two on the executing goroutine. Outside the
-// batch, those keys read as in flight until each entry is Completed or
-// Released individually, so cross-consumer mutual exclusion and per-key
-// enqueue-order FIFO are unchanged.
+// order serializes the two on the executing goroutine (see inBatch).
+// Outside the batch, those keys read as in flight until each entry is
+// Completed or Released individually, so cross-consumer mutual exclusion
+// and per-key enqueue-order FIFO are unchanged. An entry whose key set
+// spans shards always dispatches as a batch of one (see harvestLocked).
 
 // TryDequeueBatch removes and returns up to max dispatchable entries from
 // one shard in a single lock acquisition, or ok=false if nothing is
@@ -59,11 +61,10 @@ func (q *Queue) DequeueBatch(ctx context.Context, max int) ([]*Entry, error) {
 // harvest makes one dispatch attempt across the barrier and all shards:
 // the barrier first (an activated barrier is a batch of one), then the
 // shards round-robin, harvesting up to max entries from the first shard
-// that yields anything. retry reports an inconclusive attempt — a shard
-// or cross-shard TryLock was lost — after which the caller should rescan
-// rather than sleep. buf is the caller's result buffer, as in
-// harvestLocked: nil from the batch API, a one-slot stack buffer from
-// the single-entry forms.
+// that yields anything. retry reports an inconclusive attempt — a shard's
+// TryLock was lost — after which the caller should rescan rather than
+// sleep. buf is the caller's result buffer, as in harvestLocked: nil from
+// the batch API, a one-slot stack buffer from the single-entry forms.
 func (q *Queue) harvest(max int, buf []*Entry) (es []*Entry, retry bool) {
 	if max < 1 {
 		max = 1 // a dequeue always means at least one entry
@@ -100,52 +101,66 @@ func (q *Queue) harvest(max int, buf []*Entry) (es []*Entry, retry bool) {
 	return nil, retry
 }
 
-// harvestShard performs the bounded associative search over one shard's
-// pending lists — the per-shard analogue of the paper's dispatch-buffer
-// scan — collecting every dispatchable entry until max messages are
-// harvested or the search window is exhausted. Ripe delayed entries
-// mature into their bands first; then the bands are walked in scheduling
-// order (bandOrder: highest first, a starved band boosted to the front —
-// so a batch lists higher-band entries before lower). Each band list is
-// seq-ascending, so a pending sequential barrier gates a band with a
-// single comparison, and order preservation across key sets falls out of
-// the claim queues: a later entry overlapping any earlier pending entry's
-// key cannot head that key's claim queue, whatever their bands. Expired
-// entries met by the scan are dropped to the dead-letter hook instead of
-// dispatched. A harvest of more than one entry adds the in-batch key
-// exception described at the top of the file and, with WithCoalesce, the
-// merging of identical-key runs into one entry.
+// harvestShard pops up to max messages' worth of ready entries from one
+// shard (see harvestLocked) and settles what the pops left owing.
 //
 // The shard lock is TryLock'd: a consumer never parks on a shard another
-// consumer is already scanning (that consumer will dispatch whatever is
-// dispatchable there). retry reports such an inconclusive skip, or a
-// cross-shard TryLock failure; the caller rescans instead of sleeping.
+// consumer is already harvesting. retry reports such an inconclusive
+// skip (or a cross-shard take that lost its entry to a barge entry); the
+// caller tries again instead of sleeping.
 func (q *Queue) harvestShard(s *shard, max int, buf []*Entry) (es []*Entry, retry bool) {
 	if !s.mu.TryLock() {
 		return nil, true
 	}
-	var expired []Message
-	es, retry = q.harvestLocked(s, max, buf, &expired)
+	var d deferred
+	es, cross := q.harvestLocked(s, max, buf, &d)
 	s.mu.Unlock()
-	q.finishExpired(expired)
+	if cross != nil {
+		e, ok := q.take(cross, buf == nil, false, &d)
+		if e != nil {
+			es = append(buf, e)
+		}
+		retry = !ok
+	}
+	if len(d.expired) > 0 { // only an expiry leaves a harvest owing anything
+		q.settle(s, &d, 0)
+	}
 	return es, retry
 }
 
-// harvestLocked is harvestShard's body. Caller holds s.mu and must pass
-// the expired messages to finishExpired after unlocking. Harvested
-// entries are appended to es, the caller's result buffer. A nil es marks
-// the public batch API: the result slice is allocated here, and the
-// batch counters and the TraceHarvest event — which mean "dequeued
-// through the batch API" — apply. Single-entry callers bring a one-slot
-// buffer and pay for nothing but the Entry.
+// harvestLocked is the queue's one dispatch path: it pops ready entries
+// from s's band lists until max messages are harvested. Ripe delayed
+// entries mature first; then the bands are served in scheduling order
+// (bandOrder — so a batch lists higher-band entries before lower), each
+// oldest-first. A ready list holds exactly the entries whose every
+// condition is met, so a pop examines no blocked entry; it checks only
+// what the pop alone can know: a pending sequential barrier's gate (one
+// comparison per band, a band's oldest entry being on top), the deadline
+// (an entry past it goes to the dead-letter hook instead), and whether
+// the link went stale after it was made (a barge acquisition re-blocked
+// the entry; then the link is dropped; see node.block).
 //
-//pdq:crossshard — holds s.mu; dispatch and expiry reach foreign shards.
-func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, expired *[]Message) ([]*Entry, bool) {
+// A cross-shard entry cannot be taken here — its other keys' owners are
+// not locked, and a shard lock holder never waits for a second one — so
+// it is taken off the ready list and returned, for harvestShard to take
+// under all of its locks once s.mu is dropped. It dispatches alone: a
+// harvest that already holds entries stops in front of it. A harvest of
+// more than one entry adds the in-batch exception (inBatch) and, with
+// WithCoalesce, the merging of identical-key runs (coalesceRun).
+//
+// Caller holds s.mu and must settle d after unlocking. Harvested entries
+// are appended to es. A nil es marks the public batch API: the result
+// slice is allocated here, and the batch counters and the TraceHarvest
+// event apply. Single-entry callers bring a one-slot buffer and pay for
+// nothing but the Entry.
+//
+//pdq:crossshard — holds s.mu; an expiry reaches entries homed on foreign shards.
+func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, d *deferred) (_ []*Entry, cross *node) {
 	batch := es == nil
 	if s.in.slots != nil {
 		// The prefix drain: consume whatever is already published, never
 		// waiting on stragglers (an unpublished claim is an Enqueue that
-		// has not returned — the scan owes it nothing).
+		// has not returned — the harvest owes it nothing).
 		q.drainIntake(s, s.in.tail.Load(), false)
 	}
 	// The barrier gate must be read AFTER the intake drain: a drained
@@ -155,87 +170,56 @@ func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, expired *[]Message
 	// could dispatch a just-drained post-barrier entry ahead of the
 	// barrier.
 	barSeq := q.bar.minSeq.Load()
-	var now int64 // fetched lazily: idle scans never read the clock; the first expiry check or dispatch does
+	var now int64 // fetched lazily: idle harvests never read the clock; the first expiry check or dispatch does
 	if s.timers.len() > 0 {
 		now = nowNanos()
 		s.matureRipe(now)
 	}
-	// acquired is the set of keys taken by earlier entries of this batch
-	// (see shard.conflict). A harvest of one never consults it, so it is
-	// only tracked — and only reaches the heap — when max > 1.
-	var acquired []Key
+	var ibs inBatch
+	var ib *inBatch // nil for a harvest of one, which has no batch to except
+	if max > 1 {
+		ib = &ibs
+	}
 	// The harvest's entries live in one slab — one allocation and one GC
 	// object per harvest instead of one per entry, allocated lazily at
-	// the first dispatch so a gated or fully conflicted scan allocates
-	// nothing. The capacity fixed at that first take is never exceeded
-	// (npending counts at least every entry linked under s.mu), so
-	// append never reallocates and the *Entry pointers stay valid.
+	// the first dispatch so a gated or empty harvest allocates nothing.
+	// The capacity fixed at that first take is never exceeded (npending
+	// counts at least every entry linked under s.mu), so append never
+	// reallocates and the *Entry pointers stay valid.
 	var ents []Entry
-	retry, windowHit := false, false
 	msgs := 0 // messages harvested: entries plus coalesced merges
 	order := s.bandOrder()
+bands:
 	for _, b := range order {
-		if msgs >= max {
-			break
-		}
-		// The window budget is per band (as it is per shard): a higher
-		// band full of order-conflicted entries must not exhaust the
-		// budget before the band holding the oldest dispatchable entry
-		// is reached — with nothing in flight that entry is the scan's
-		// guaranteed find, the invariant that makes parking safe.
-		scanned := 0
-		for n := s.bands[b].head; n != nil && msgs < max; {
-			if q.window > 0 && scanned >= q.window {
-				windowHit = true
-				break
+		l := &s.ready[b]
+		for msgs < max {
+			n := l.top()
+			if n == nil || barSeq != 0 && n.entry.seq >= barSeq {
+				break // empty, or gated from here on (other bands may hold earlier entries)
 			}
-			if barSeq != 0 && n.entry.seq >= barSeq {
-				// Entries at or past a pending sequential barrier's queue
-				// position may not dispatch until the barrier completes;
-				// the band is seq-ordered, so the rest of it is blocked
-				// too (other bands may still hold earlier entries).
-				break
-			}
-			scanned++
-			next := n.next // capture: dispatch unlinks and recycles n
-			if handled, r := q.expireIfDue(s, n, &now, expired); handled {
-				retry = retry || r
-				n = next
+			if st := n.state.Load(); st != readyBit && !(ib != nil && ib.admits(s, n)) {
+				// The link went stale: a barge entry took one of n's keys, or
+				// n was linked for an earlier batch that did not reach it.
+				// Whoever frees the key links n again.
+				if n.state.CompareAndSwap(st, st&^readyBit) {
+					l.pop()
+				}
 				continue
 			}
-			m := &n.entry.msg
-			local := n.entry.smask == 1<<s.idx
-			barge := m.Mode == ModeBarge
-			kind, lost := conflictNone, false
-			if local {
-				// A nosync or keyless entry has an empty key set and so no
-				// conflicts; a barge entry skips the claim-order check.
-				if kind = s.conflict(q, m.Keys, n.entry.seq, acquired, true, barge); kind == conflictNone {
-					q.acquire(s, n)
+			if n.entry.smask != 1<<s.idx {
+				if msgs == 0 {
+					l.pop() // readyBit stays set: the take in progress holds the link
+					cross = n
 				}
-			} else {
-				// Cross-shard entry: the TryLock'd dispatch, with no in-batch
-				// exception (foreign shards know nothing of this batch).
-				kind, lost = q.tryDispatchCross(s, n)
+				break bands
 			}
-			if lost || kind != conflictNone {
-				switch {
-				case lost:
-					retry = true
-				case kind == conflictOrder:
-					s.stats.orderConflicts++
-				default:
-					s.stats.keyConflicts++
-				}
-				n = next
+			l.pop()
+			if dl := n.entry.deadline; dl != 0 && dl <= clock(&now) {
+				q.expire(s, n, d, ib)
 				continue
 			}
+			q.acquire(s, n)
 			s.creditDispatch(int(b), &n.entry, &now)
-			if max > 1 && !barge {
-				// A barge entry's holder may park its keys past the batch,
-				// so they never join the in-batch exception.
-				acquired = append(acquired, m.Keys...)
-			}
 			msgs++
 			if ents == nil {
 				// n itself is already unlinked, hence the +1.
@@ -251,14 +235,21 @@ func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, expired *[]Message
 			if t := s.tr; batch && t != nil && e.msg.TraceID != 0 {
 				t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, int64(len(ents)-1))
 			}
-			if q.coalesce && local && e.msg.Mode == ModeKeyed && e.msg.Batch != nil && e.attempt == 0 {
+			es = append(es, e)
+			if ib == nil || e.msg.Mode != ModeKeyed {
+				continue
+			}
+			if q.coalesce && e.msg.Batch != nil && e.attempt == 0 {
 				// The representative already counts against max, so the
 				// merge budget is the batch's remaining message capacity.
-				next = q.coalesceRun(s, e, next, barSeq, &scanned, max-msgs, &now)
-				msgs += len(e.extraList())
+				msgs += q.coalesceRun(s, e, barSeq, max-msgs, &now)
 			}
-			es = append(es, e)
-			n = next
+			ib.keys = append(ib.keys, e.msg.Keys...)
+			for c := e.claims; c != nil; c = c.peer {
+				if h := c.rec.head; h != nil {
+					ib.offer(s, h.n)
+				}
+			}
 		}
 	}
 	if batch && len(es) > 0 {
@@ -267,67 +258,180 @@ func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, expired *[]Message
 		if msgs > s.stats.maxBatch {
 			s.stats.maxBatch = msgs
 		}
-	} else if len(es) == 0 && windowHit {
-		s.stats.windowStalls++
 	}
-	return es, retry
+	return es, cross
 }
 
-// coalesceRun merges the run of pending entries immediately compatible
-// with representative e — same shard, ModeKeyed, a Batch handler, first
-// attempt, an identical key slice, and heading every claim queue after
-// the previous merge's pops — into e, so one Batch invocation handles
-// the whole run. Merged messages pop their claims and give back their
-// capacity slots like any dispatch, but do not touch the in-flight
+// take dispatches (or expires) ready entry n outside a harvest, under
+// the lock of every shard its keys touch — taken in index order with no
+// lock held, like a cross-shard admission. The caller holds n's
+// ready-list link, so n is on no list and cannot have left the queue: it
+// is the cross-shard entry harvestLocked handed back, or (handoff) a
+// successor CompleteNext just made ready. Everything that moves n's count
+// runs under one of these locks, so here the count is exact: nonzero
+// means a barge entry took a key in the meantime, and n goes back to
+// waiting — whoever frees that key links it again (ok=false). An entry
+// gated by a sequential barrier gets its link back, and so does a
+// handoff whose band must wait: it may pass over older ready entries of
+// its own band (that is its point), never over a band the scheduler
+// serves first. batch and d are as in harvestLocked.
+func (q *Queue) take(n *node, batch, handoff bool, d *deferred) (e *Entry, ok bool) {
+	s := n.home
+	mask := n.entry.smask
+	q.lockMask(mask)
+	defer q.unlockMask(mask)
+	if n.state.Load() != readyBit {
+		n.state.Add(^uint32(readyBit - 1)) // clear readyBit
+		return nil, false
+	}
+	barSeq := q.bar.minSeq.Load()
+	wait := barSeq != 0 && n.entry.seq >= barSeq
+	if handoff {
+		for _, b := range s.bandOrder() {
+			if int(b) == n.entry.msg.Priority {
+				break
+			}
+			wait = wait || !s.ready[b].empty()
+		}
+	}
+	var now int64
+	switch dl := n.entry.deadline; {
+	case wait:
+		s.linkReady(n)
+		d.nready++
+		return nil, true
+	case dl != 0 && dl <= clock(&now):
+		q.expire(s, n, d, nil)
+		return nil, true
+	}
+	q.acquire(s, n)
+	s.creditDispatch(n.entry.msg.Priority, &n.entry, &now)
+	e = new(Entry)
+	*e = n.entry
+	s.recycle(n)
+	if batch {
+		s.stats.batches++
+		s.stats.batchEntries++
+		s.stats.maxBatch = max(s.stats.maxBatch, 1)
+		if t := s.tr; t != nil && e.msg.TraceID != 0 {
+			t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, 0)
+		}
+	}
+	return e, true
+}
+
+// inBatch is the in-batch exception of one multi-entry harvest (see the
+// top of the file). An entry blocked only by keys that earlier entries of
+// the harvest hold can only be the claim-queue successor of one it just
+// took, so that is where the harvest looks (offer); it never walks the
+// blocked backlog. A successor that qualifies is linked into its band's
+// ready list with its count still nonzero, so it is popped at its own seq
+// position in band order exactly as if it had been ready, and the pop,
+// which re-asks admits of every entry whose count is nonzero, takes it.
+// One the harvest does not reach is left behind as a stale link like any
+// other (see node.block). Cross-shard entries take no part — a foreign
+// shard knows nothing of this batch — and neither do barge entries, whose
+// holders may park their keys past the batch.
+type inBatch struct {
+	keys []Key // keys taken by earlier entries of this harvest
+}
+
+// offer considers n, which now heads a claim queue behind an entry the
+// harvest just took (or expired), for the in-batch exception, and links
+// it ready if it qualifies and is not linked (or owed its link) already.
+// Caller holds s.mu, which for a qualifying n — homed wholly on s —
+// guards every move of its count.
+func (ib *inBatch) offer(s *shard, n *node) {
+	if n.state.Load()&readyBit == 0 && ib.admits(s, n) {
+		n.state.Add(readyBit)
+		s.linkReady(n)
+	}
+}
+
+// admits reports whether n qualifies for the in-batch exception right
+// now: homed wholly on s, mature, and heading the queue of every key it
+// carries with no holder outside the batch (a barge entry taken since the
+// offer may hold one of its keys).
+func (ib *inBatch) admits(s *shard, n *node) bool {
+	if n.immature || n.entry.smask != 1<<s.idx {
+		return false
+	}
+	for c := n.entry.claims; c != nil; c = c.peer {
+		if c.rec.head != c || c.rec.inflight > 0 && !keyIn(ib.keys, c.rec.key) {
+			return false
+		}
+	}
+	return true
+}
+
+// keyIn reports whether k was acquired earlier in the batch. Batches are
+// small, so a linear scan beats a map here.
+func keyIn(acquired []Key, k Key) bool {
+	for _, a := range acquired {
+		if a == k {
+			return true
+		}
+	}
+	return false
+}
+
+// coalesceRun merges into representative e, which the harvest just took,
+// the run of entries compatible with it — each in turn the claim-queue
+// successor of e's keys: same band, ModeKeyed, the same Batch handler,
+// first attempt, mature, an identical key slice, and heading every claim
+// queue after the previous merge's pops — so one Batch invocation handles
+// the whole run. Merged messages leave their claim queues and give back
+// their capacity slots like any dispatch, but do not touch the in-flight
 // counts: the representative's single acquisition covers the run, and
 // its single Complete (or Release) resolves it. budget bounds how many
-// additional messages may merge (the batch's remaining capacity);
-// WithCoalesce's own limit applies on top, and a pending sequential
-// barrier's gate (barSeq) stops the run exactly as it stops the
-// enclosing harvest — a post-barrier message must not ride a
-// pre-barrier invocation. The run walks one band's list, so merged
-// messages share the representative's priority by construction; an
-// expired run-mate stops the run (it must never dispatch — a later scan
-// dead-letters it), and a merged deadline tightens the representative's
-// to the minimum, so Entry introspection reflects the strictest member.
-// Caller holds s.mu. Returns the first node not merged.
-func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned *int, budget int, now *int64) *node {
+// messages may merge (the batch's remaining capacity; WithCoalesce's own
+// limit applies on top), and a pending sequential barrier's gate stops
+// the run as it stops the harvest — a post-barrier message must not ride
+// a pre-barrier invocation. An expired run-mate stops the run (a later
+// pop dead-letters it), and a merged deadline tightens the
+// representative's to the minimum. Caller holds s.mu. Returns the number
+// of messages merged.
+func (q *Queue) coalesceRun(s *shard, e *Entry, barSeq uint64, budget int, now *int64) (merged int) {
 	if q.coalesceMax > 0 && budget > q.coalesceMax-1 {
 		budget = q.coalesceMax - 1
 	}
-	for n != nil && budget > 0 {
-		if q.window > 0 && *scanned >= q.window {
-			return n
+	if e.claims == nil {
+		return 0 // keyless: no claim queue to find a run in
+	}
+	for ; budget > 0; budget-- {
+		h := e.claims.rec.head
+		if h == nil {
+			return merged
 		}
-		if barSeq != 0 && n.entry.seq >= barSeq {
-			return n
-		}
+		n := h.n
 		m := &n.entry.msg
-		if m.Mode != ModeKeyed || n.entry.attempt != 0 ||
+		if barSeq != 0 && n.entry.seq >= barSeq ||
+			m.Mode != ModeKeyed || m.Priority != e.msg.Priority ||
+			n.entry.attempt != 0 || n.immature || n.state.Load()&readyBit != 0 ||
 			!sameBatchHandler(m.Batch, e.msg.Batch) ||
 			!keysEqual(m.Keys, e.msg.Keys) {
-			return n
+			return merged
 		}
-		// The representative — an earlier entry of this batch — holds the
-		// run's keys in flight, so only the claim-queue heads can conflict.
-		if s.conflict(q, m.Keys, n.entry.seq, e.msg.Keys, true, false) != conflictNone {
-			return n
+		// The representative holds the run's keys in flight, so only the
+		// claim-queue heads can stand in the way.
+		for c := n.entry.claims; c != nil; c = c.peer {
+			if c.rec.head != c {
+				return merged
+			}
 		}
 		if dl := n.entry.deadline; dl != 0 {
-			if *now == 0 {
-				*now = nowNanos()
-			}
-			if dl <= *now {
-				return n
+			if dl <= clock(now) {
+				return merged
 			}
 			if e.deadline == 0 || dl < e.deadline {
 				e.deadline = dl
 			}
 		}
-		*scanned++
-		next := n.next
-		for _, k := range m.Keys {
-			s.popClaim(k, n.entry.seq)
+		for c := n.entry.claims; c != nil; {
+			peer := c.peer
+			c.rec.popHead(c)
+			s.freeClaim(c)
+			c = peer
 		}
 		s.unlink(n)
 		q.releaseSlot()
@@ -345,10 +449,9 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, n *node, barSeq uint64, scanned 
 			t.record(s.idx, m.TraceID, TraceCoalesce, n.entry.seq, int64(len(*e.extra)))
 		}
 		s.recycle(n)
-		budget--
-		n = next
+		merged++
 	}
-	return n
+	return merged
 }
 
 // sameBatchHandler reports whether two Batch handlers are the same
@@ -439,13 +542,14 @@ func (q *Queue) RunBatch(es []*Entry) error {
 // with no free slot, or a fresh message on a queue that closed — a
 // pre-close retry re-admits as always).
 func (q *Queue) releaseUnrun(e *Entry) {
-	ws := q.releaseEntryState(e)
+	var d deferred
+	ws := q.releaseEntryState(e, &d)
 	q.g.released.Add(1)
 	q.readmitOrDeadLetter(e.msg, e.attempt, e.err)
 	for _, m := range e.extraList() {
 		q.readmitOrDeadLetter(m, e.attempt, e.err)
 	}
-	q.finishInflight(ws, len(e.msg.Keys), 1)
+	q.settle(ws, &d, 1)
 }
 
 // readmitOrDeadLetter gives one never-executed message back to the
@@ -475,9 +579,7 @@ func (q *Queue) completeBatch(es []*Entry) {
 		return
 	}
 	var mask uint64
-	nkeys := 0
 	for _, e := range es {
-		nkeys += len(e.msg.Keys)
 		if e.msg.Mode == ModeSequential {
 			// Sequential entries only ever travel in batches of one, so
 			// this cannot happen for a harvested batch; stay correct for
@@ -487,20 +589,20 @@ func (q *Queue) completeBatch(es []*Entry) {
 			}
 			return
 		}
+		if len(e.msg.Keys) > 0 && e.claims == nil {
+			panic("pdq: Complete/Release for key with no in-flight handler")
+		}
 		mask |= e.smask
 	}
+	var d deferred
 	for m := mask; m != 0; {
 		i := bits.TrailingZeros64(m)
 		m &^= 1 << i
 		s := &q.shards[i]
 		s.mu.Lock()
 		for _, e := range es {
-			if e.smask&(1<<i) == 0 || len(e.msg.Keys) == 0 {
-				continue
-			}
-			if !s.releaseOwned(q, e.msg.Keys) {
-				s.mu.Unlock()
-				panic("pdq: Complete/Release for key with no in-flight handler")
+			if e.smask&(1<<i) != 0 {
+				s.releaseOwned(e, &d)
 			}
 		}
 		s.mu.Unlock()
@@ -516,19 +618,18 @@ func (q *Queue) completeBatch(es []*Entry) {
 			}
 		}
 	}
-	// One generation bump covers the whole batch: sleeping consumers wait
-	// on the generation sum, which any single-shard bump changes. The
-	// wake bound is the batch's total released keys.
-	q.finishInflight(ws, nkeys, len(es))
+	// One wake covers the whole batch, bounded by the entries its
+	// released keys made ready.
+	q.settle(ws, &d, len(es))
 }
 
 // blockDequeue is the eventcount wait loop of DequeueContext and
 // DequeueBatch: harvest (up to max entries into buf, as in harvest)
 // until an attempt yields, ctx is done, or the queue is closed and
 // drained. The generation re-check under waitMu closes the
-// scan-then-sleep race, and the timed backstop bounds the window a lost
-// cross-shard TryLock race (which leaves no eventcount bump behind) can
-// hide a dispatchable entry. When delayed entries are pending, the park
+// harvest-then-sleep race, and the timed backstop bounds how long a lost
+// shard TryLock race (which leaves no eventcount bump behind) can hide a
+// dispatchable entry. When delayed entries are pending, the park
 // additionally arms a timer for the earliest maturity — the wake that
 // lets WithDelay/WithNotBefore deliver on time without any polling
 // consumer.
@@ -563,8 +664,8 @@ func (q *Queue) blockDequeue(ctx context.Context, max int, buf []*Entry) ([]*Ent
 		}
 		needBackstop := false
 		if retry {
-			// A cross-shard dispatch lost a TryLock race; the state is
-			// unknown, so rescan rather than sleep on a stale generation —
+			// A shard's TryLock was lost; the state is unknown, so try
+			// again rather than sleep on a stale generation —
 			// but boundedly, falling into the eventcount sleep (with a
 			// timed backstop, since the lost race may never bump it) once
 			// the collisions persist.

@@ -271,27 +271,80 @@ func BenchmarkSingleVsPartitioned(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchWindow sweeps the PDQ associative-search window size —
-// the Section 3.2 bounded-search design point (Ablation C).
-func BenchmarkSearchWindow(b *testing.B) {
-	ks := ablationKeys()
-	for _, w := range []int{1, 4, 16, 64, -1} {
-		name := "unbounded"
-		if w > 0 {
-			name = string(rune('0'+w/10)) + string(rune('0'+w%10))
-		}
-		b.Run("window-"+name, func(b *testing.B) {
+// BenchmarkHarvestBlockedPrefix is the dispatch rung of the L0 ladder:
+// one enqueue → TryDequeue → Complete cycle on a free key while depth
+// older entries sit blocked behind one in-flight key. Dispatch pops a
+// ready list, which the blocked prefix never enters, so ns/op must be
+// flat across depths (under the windowed scan it grew linearly: every
+// dequeue walked the prefix).
+func BenchmarkHarvestBlockedPrefix(b *testing.B) {
+	nop := func(any) {}
+	for _, depth := range []int{0, 64, 1024, 16384} {
+		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
+			q := pdq.New()
+			_ = q.Enqueue(nop, pdq.WithKey(1))
+			held, _ := q.TryDequeue()
+			for i := 0; i < depth; i++ {
+				_ = q.Enqueue(nop, pdq.WithKey(1))
+			}
+			free := pdq.Message{Handler: nop, Keys: []pdq.Key{2}}
+			b.ReportAllocs()
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				q := pdq.New(pdq.WithSearchWindow(w))
-				p := pdq.Serve(context.Background(), q, ablWorkers)
-				for _, k := range ks {
-					_ = q.Enqueue(func(any) { busyWork() }, pdq.WithKey(pdq.Key(k)))
+				_ = q.EnqueueMessage(free)
+				e, ok := q.TryDequeue()
+				if !ok {
+					b.Fatal("free-key entry not dispatchable")
 				}
-				q.Close()
-				p.Wait()
-				b.ReportMetric(float64(q.Stats().WindowStalls), "window-stalls")
+				q.Complete(e)
+			}
+			b.StopTimer()
+			q.Complete(held)
+			for i := 0; i < depth; i++ {
+				e, _ := q.TryDequeue()
+				q.Complete(e)
 			}
 		})
+	}
+}
+
+// BenchmarkHarvestReadyWidth is the other axis of the same rung: the
+// ready set is width entries wide (two messages on each of width keys, so
+// half the backlog is ready and every completion makes one more entry
+// ready), drained by a TryDequeue → Complete loop; ns/msg is per message,
+// enqueue included. A successor is the newest entry on the shard when the
+// keys' second messages were enqueued after all the first ones and the
+// oldest when each followed its own first, so neither end of the ready
+// order is the cheap place to look: the cost of making an entry ready
+// must not grow with how many already are (logarithmically at most).
+func BenchmarkHarvestReadyWidth(b *testing.B) {
+	nop := func(any) {}
+	for _, succ := range []string{"newest", "oldest"} {
+		for _, width := range []int{64, 1024, 16384, 65536} {
+			b.Run(fmt.Sprintf("successor-%s/width-%d", succ, width), func(b *testing.B) {
+				q := pdq.New(pdq.WithShards(1))
+				b.ReportAllocs()
+				done := 0 // whole laps: may overshoot b.N, so the rate is reported from it
+				for done < b.N {
+					for i := 0; i < 2*width; i++ {
+						k := i % width // a lap of first messages, then a lap of second ones
+						if succ == "oldest" {
+							k = i / 2
+						}
+						_ = q.EnqueueMessage(pdq.Message{Handler: nop, Keys: []pdq.Key{pdq.Key(k)}})
+					}
+					for i := 0; i < 2*width; i++ {
+						e, ok := q.TryDequeue()
+						if !ok {
+							b.Fatal("backlog not dispatchable")
+						}
+						q.Complete(e)
+					}
+					done += 2 * width
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(done), "ns/msg")
+			})
+		}
 	}
 }
 
@@ -335,14 +388,13 @@ func BenchmarkKeySetDispatch(b *testing.B) {
 // message waiting (the paper's slow-handler scenario — a blocked stream
 // must not stall dispatch on other resources), while every benchmark
 // goroutine drives its own key through enqueue/dispatch/complete. The
-// dispatcher's associative search has to skip the blocked stream heads on
-// every dispatch: one shard walks all of them under one mutex, while the
-// sharded core partitions both the search and the locking, so each scan
-// only sees its own shard's slice. Run with -cpu 8 to reproduce the
-// headline >= 2x sharded speedup.
+// blocked stream heads wait on their keys' records and never enter a
+// ready list, so no dispatch examines them; what the sharded core
+// partitions is the locking. Run with -cpu 8 to reproduce the headline
+// >= 2x sharded speedup.
 func BenchmarkDisjointKeys(b *testing.B) {
-	benchmarkWorkerBatch(b)   // batch-1 / batch-16 pool-dispatch cases
-	const blockedStreams = 48 // below DefaultSearchWindow so nothing stalls
+	benchmarkWorkerBatch(b) // batch-1 / batch-16 pool-dispatch cases
+	const blockedStreams = 48
 	for _, tc := range []struct {
 		name   string
 		shards int

@@ -108,15 +108,11 @@ type node struct {
 
 // init wires the node's queue and session state. The queue composes the
 // cluster failure policy after any caller-supplied options, so retry and
-// dead-letter accounting stay authoritative. The search window defaults
-// to unbounded (prepended, so WithQueueOptions can override): a bounded
-// window can hide a dispatchable claim behind a long run of entries
-// blocked on keys another node holds, stalling cross-node progress that
-// the claim itself would unblock.
+// dead-letter accounting stay authoritative.
 func (n *node) init(c *Cluster, id, nodes int) {
 	n.c = c
 	n.id = id
-	qopts := append(append([]pdq.Option{pdq.WithSearchWindow(0)}, c.cfg.qopts...),
+	qopts := append(append([]pdq.Option(nil), c.cfg.qopts...),
 		pdq.WithRetry(c.cfg.retry),
 		pdq.WithDeadLetter(n.onQueueDeadLetter),
 		// Label trace events with the node identity so merged snapshots

@@ -54,7 +54,6 @@ type bench struct {
 	SetSize    int     `json:"set_size"`
 	Shards     int     `json:"shards"`
 	Ring       int     `json:"intake_ring"`
-	Window     int     `json:"search_window"`
 	Batch      int     `json:"batch"`
 	Coalesce   bool    `json:"coalesce"`
 	Skew       float64 `json:"skew"`
@@ -98,7 +97,6 @@ func sameWorkload(a, b bench) bool {
 		a.SetSize == b.SetSize &&
 		a.Shards == b.Shards &&
 		a.Ring == b.Ring &&
-		a.Window == b.Window &&
 		a.Batch == b.Batch &&
 		a.Coalesce == b.Coalesce &&
 		a.Skew == b.Skew &&

@@ -12,7 +12,7 @@ import (
 func base(throughput float64) bench {
 	return bench{
 		Strategy: "pdq", Workers: 8, Messages: 100000, Keys: 64,
-		SetSize: 1, Shards: 4, Ring: 256, Window: 64, Batch: 1,
+		SetSize: 1, Shards: 4, Ring: 256, Batch: 1,
 		WorkNanos: 200, Seed: 7, Handled: 100000, Throughput: throughput,
 	}
 }

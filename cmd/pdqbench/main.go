@@ -119,7 +119,6 @@ type config struct {
 	setSize    int
 	shards     int
 	ring       int
-	window     int
 	batch      int
 	coalesce   bool
 	skew       float64
@@ -143,11 +142,10 @@ type result struct {
 	Messages   int     `json:"messages"`
 	Keys       int     `json:"keys"`
 	SetSize    int     `json:"set_size"`
-	Shards     int     `json:"shards"`                  // resolved shard count (pdq strategy)
-	Ring       int     `json:"intake_ring,omitempty"`   // resolved per-shard intake-ring size (pdq strategy)
-	Window     int     `json:"search_window,omitempty"` // per-band dispatch search window (pdq strategy; 0 = unbounded)
-	Batch      int     `json:"batch"`                   // worker dispatch batch size (pdq strategy)
-	Coalesce   bool    `json:"coalesce"`                // identical-key runs merged (pdq strategy)
+	Shards     int     `json:"shards"`                // resolved shard count (pdq strategy)
+	Ring       int     `json:"intake_ring,omitempty"` // resolved per-shard intake-ring size (pdq strategy)
+	Batch      int     `json:"batch"`                 // worker dispatch batch size (pdq strategy)
+	Coalesce   bool    `json:"coalesce"`              // identical-key runs merged (pdq strategy)
 	Skew       float64 `json:"skew"`
 	PanicRate  float64 `json:"panic_rate,omitempty"` // injected handler failure probability (pdq strategy)
 	Priorities int     `json:"priorities,omitempty"` // priority bands in use (pdq strategy)
@@ -181,7 +179,6 @@ func main() {
 		setSize    = flag.Int("setsize", 1, "keys per message key set (pdq only)")
 		shards     = flag.Int("shards", 1, "pdq dispatch shards (0 = GOMAXPROCS-derived, pdq only)")
 		ring       = flag.Int("ring", pdq.DefaultIntakeRing, "per-shard intake ring size (0 = mutex-only intake, pdq only)")
-		window     = flag.Int("window", pdq.DefaultSearchWindow, "per-band dispatch search window, 0 = unbounded (pdq only)")
 		batch      = flag.Int("batch", 1, "pdq worker dispatch batch size (pdq only)")
 		coalesce   = flag.Bool("coalesce", false, "merge identical-key runs into one handler invocation (pdq only)")
 		skew       = flag.Float64("skew", 0, "Zipf skew of key popularity (0 = uniform)")
@@ -200,7 +197,7 @@ func main() {
 		jsonDir    = flag.String("json", ".", "directory for BENCH_<strategy>.json files (empty = disabled)")
 	)
 	flag.Parse()
-	cfg := config{*workers, *messages, *keys, *setSize, *shards, *ring, *window, *batch, *coalesce, *skew, *panicRate, *work, *blockKeys, *blockTime, *seed, *priorities, *delayFrac, *ttl, *nodes, *loss, *trace}
+	cfg := config{*workers, *messages, *keys, *setSize, *shards, *ring, *batch, *coalesce, *skew, *panicRate, *work, *blockKeys, *blockTime, *seed, *priorities, *delayFrac, *ttl, *nodes, *loss, *trace}
 	procsList, err := parseProcs(*procs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pdqbench:", err)
@@ -354,7 +351,6 @@ type scalingResult struct {
 	SetSize    int     `json:"set_size"`
 	Shards     int     `json:"shards"`
 	Ring       int     `json:"intake_ring,omitempty"`
-	Window     int     `json:"search_window,omitempty"`
 	Batch      int     `json:"batch"`
 	Coalesce   bool    `json:"coalesce"`
 	Skew       float64 `json:"skew"`
@@ -392,8 +388,7 @@ func runSweep(name string, cfg config, procs []int) (scalingResult, error) {
 				Strategy: res.Strategy, Workers: res.Workers,
 				Messages: res.Messages, Keys: res.Keys,
 				SetSize: res.SetSize, Shards: res.Shards, Ring: res.Ring,
-				Window: res.Window,
-				Batch:  res.Batch, Coalesce: res.Coalesce, Skew: res.Skew,
+				Batch: res.Batch, Coalesce: res.Coalesce, Skew: res.Skew,
 				PanicRate: res.PanicRate, Priorities: res.Priorities,
 				DelayFrac: res.DelayFrac, TTLNanos: res.TTLNanos,
 				TraceRate: res.TraceRate,
@@ -513,7 +508,7 @@ func runStrategy(name string, cfg config) (result, error) {
 	}
 	switch name {
 	case "pdq":
-		opts := []pdq.Option{pdq.WithShards(cfg.shards), pdq.WithIntakeRing(cfg.ring), pdq.WithSearchWindow(cfg.window)}
+		opts := []pdq.Option{pdq.WithShards(cfg.shards), pdq.WithIntakeRing(cfg.ring)}
 		if cfg.trace > 0 {
 			opts = append(opts, pdq.WithTrace(cfg.trace))
 		}
@@ -604,7 +599,6 @@ func runStrategy(name string, cfg config) (result, error) {
 		res.PDQ = &stats
 		res.Shards = stats.Shards
 		res.Ring = stats.IntakeRing
-		res.Window = cfg.window
 		return res, nil
 	case "cluster":
 		n := cfg.nodes

@@ -21,14 +21,21 @@
 //
 // Messages are shaped by functional options:
 //
-//	q := pdq.New(pdq.WithSearchWindow(64), pdq.WithCapacity(1 << 16))
+//	q := pdq.New(pdq.WithShards(4), pdq.WithCapacity(1 << 16))
 //	err := q.Enqueue(handler, pdq.WithKeys(from, to), pdq.WithData(amount))
 //	err = q.Enqueue(audit, pdq.Sequential())
 //	err = q.Enqueue(heartbeat, pdq.NoSync())
 //
 // The implementation mirrors the paper's hardware organization: a FIFO of
-// entries, an associative "search engine" bounded by a small window at the
-// head of the queue, and per-worker dispatch. Both a low-level interface
+// entries, an associative "search engine" that finds the next runnable
+// entry at no cost per blocked one, and per-worker dispatch. Hardware
+// matches every buffered entry against the in-flight key set in parallel;
+// this port keeps the match incrementally instead — every pending entry
+// counts its unmet conditions (a key in flight, an earlier claimant on a
+// key, a delay not yet matured), each event that meets one decrements
+// exactly the entries waiting on it, and an entry whose count reaches zero
+// is linked into a ready list at that instant — so a dequeue is a pop, not
+// a search (shard.go). Both a low-level interface
 // (TryDequeue/DequeueContext/Complete, the software analogue of the paper's
 // Protocol Dispatch Register) and a high-level worker pool (Serve) are
 // provided. DequeueContext and EnqueueWait integrate with context
@@ -56,11 +63,11 @@
 //
 // # Batched dispatch
 //
-// Every dequeue is a harvest: one TryLock'd scan of one shard's pending
-// lists (batch.go). A single-entry dequeue is a harvest of one, paying a
-// shard-lock acquire/release and an eventcount interaction per entry;
-// TryDequeueBatch and DequeueBatch amortize both across a run of
-// compatible entries — one shard-lock acquisition harvests up to max
+// Every dequeue is a harvest: pops from one shard's ready lists under one
+// TryLock of that shard (batch.go). A single-entry dequeue is a harvest of
+// one, paying a shard-lock acquire/release and an eventcount interaction
+// per entry; TryDequeueBatch and DequeueBatch amortize both across a run
+// of compatible entries — one shard-lock acquisition harvests up to max
 // dispatchable entries (each heading every claim queue it touches after
 // the pops of the earlier entries of the same batch) — and RunBatch
 // executes them in dispatch order with the per-entry Complete/Release
@@ -89,19 +96,20 @@
 //
 // Internally the queue is a sharded dispatch core: the key space is
 // partitioned across N shards (WithShards), each owning its own pending
-// list, in-flight map, per-key claim queues, node pool, and lock, so
+// and ready lists, per-key records (in-flight count and claim queue), node
+// pool, and lock, so
 // single-key traffic to different shards never contends on a shared
 // mutex. Steady-state enqueue does not even touch the shard lock: entries
 // homed wholly on one shard publish into that shard's lock-free MPSC
 // intake ring (WithIntakeRing), and the harvesting consumer drains the
-// ring under the lock it already holds for its scan (see ring.go). A
+// ring under the lock it already holds for its harvest (see ring.go). A
 // multi-key entry is homed on the shard of its lowest-hashing key and
 // registers claims on every shard its key set touches; Sequential
 // entries are a cross-shard epoch barrier that drains all shards, runs
 // alone, and releases. Global enqueue-order FIFO for overlapping key sets
-// is preserved by the global sequence numbers stamped on every entry. The
-// default of one shard preserves the exact bounded-window scan semantics
-// of the unsharded dispatcher; see shard.go and barrier.go for the split.
+// is preserved by the global sequence numbers stamped on every entry. On
+// the default of one shard, ready entries of one band dispatch in exact
+// global enqueue order; see shard.go and barrier.go for the split.
 package pdq
 
 import (
@@ -228,6 +236,11 @@ type Entry struct {
 	attempt   uint32 // prior failed executions (0 = first dispatch)
 	err       error  // error from the Release that caused this retry, if any
 
+	// claims chains the entry's stake in each key it carries (shard.go):
+	// its places in the claim queues while pending, its shares of the
+	// in-flight counts from dispatch until Complete or Release.
+	claims *claim
+
 	// extra holds the messages coalesced behind msg (WithCoalesce
 	// harvests). It is a pointer, not a slice, to keep the common
 	// uncoalesced Entry a size class smaller on the hot path.
@@ -278,15 +291,9 @@ func (e *Entry) Attempt() int { return int(e.attempt) }
 // nil on the entry's first dispatch.
 func (e *Entry) Err() error { return e.err }
 
-// DefaultSearchWindow bounds the associative search at the head of the
-// queue, mirroring the small dispatch buffer of a hardware PDQ
-// implementation (paper Section 3.2).
-const DefaultSearchWindow = 64
-
 // Queue is a Parallel Dispatch Queue. All methods are safe for concurrent
 // use. The zero value is not usable; call New.
 type Queue struct {
-	window      int
 	cap         int
 	retry       int                        // retry budget per entry (WithRetry)
 	deadLetter  func(m Message, err error) // terminal failure hook (WithDeadLetter)
@@ -309,7 +316,7 @@ type Queue struct {
 	_           cpad
 	inflightAll atomic.Int64 // all in-flight handlers (any mode)
 	_           cpad
-	rr          atomic.Uint32 // rotates scan start and keyless placement
+	rr          atomic.Uint32 // rotates harvest start and keyless placement
 	_           cpad
 
 	bar barrier // cross-shard epoch barrier for Sequential entries
@@ -331,7 +338,7 @@ type Queue struct {
 	// counter (per shard, so producers on different shards don't share a
 	// cacheline; extraGen covers barrier and close events). A consumer that
 	// read generation-sum g only sleeps while the sum is still g, closing
-	// the scan-then-sleep race without a global dispatch lock.
+	// the harvest-then-sleep race without a global dispatch lock.
 	_        cpad
 	extraGen atomic.Uint64
 	_        cpad
@@ -368,13 +375,12 @@ type globalCounters struct {
 
 // New returns an empty queue shaped by opts.
 func New(opts ...Option) *Queue {
-	cfg := config{searchWindow: DefaultSearchWindow, shards: 1, intakeRing: DefaultIntakeRing}
+	cfg := config{shards: 1, intakeRing: DefaultIntakeRing}
 	for _, o := range opts {
 		o(&cfg)
 	}
 	n := resolveShards(cfg.shards)
 	q := &Queue{
-		window:      cfg.searchWindow,
 		cap:         cfg.capacity,
 		retry:       cfg.retry,
 		deadLetter:  cfg.deadLetter,
@@ -586,10 +592,11 @@ func (q *Queue) enqueueReserved(m *Message, attempt uint32, lastErr error) error
 // ride that shard's lock-free intake ring when rings are enabled (see
 // ring.go); the harvesting consumer assigns their sequence numbers and
 // registers their claims at drain time, under the same lock it already
-// holds for the scan. A multi-shard entry must push claims on every shard
-// its keys touch, so it takes the classic mutex path: every involved shard
-// is locked (in index order) across sequence assignment so that per-key
-// claim queues are pushed in strictly increasing seq order — the property
+// holds for the harvest. A multi-shard entry must join claim queues on
+// every shard its keys touch, so it takes the classic mutex path: every
+// involved shard is locked (in index order) across sequence assignment so
+// that per-key claim queues are joined in strictly increasing seq order —
+// the property
 // the whole cross-shard FIFO discipline rests on. Before fetching its seq
 // it drains the involved shards' rings to completion, so ring entries
 // published before it keep earlier sequence numbers and per-key FIFO holds
@@ -623,6 +630,7 @@ func (q *Queue) enqueueSharded(m *Message, attempt uint32, lastErr error) (*shar
 	// sequence number comes later, from admitNode; a refused admission
 	// hands the node straight back to the pool.
 	n := h.pool.get()
+	n.home = h
 	n.entry = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
 	if !m.NotBefore.IsZero() {
 		n.entry.notBefore = toNanos(m.NotBefore)
@@ -670,11 +678,12 @@ func (q *Queue) unlockMask(mask uint64) {
 	}
 }
 
-// TryDequeue removes and returns the first dispatchable entry found within
-// the per-shard search windows, or ok=false if none is currently
-// dispatchable. The caller must invoke the entry's handler and then call
-// Complete. TryDequeue never blocks (under cross-shard lock contention it
-// may conservatively report nothing dispatchable).
+// TryDequeue removes and returns a dispatchable entry — the oldest ready
+// entry of the band served first, on the first shard that has one — or
+// ok=false if none is currently dispatchable. The caller must invoke the
+// entry's handler and then call Complete. TryDequeue never blocks (when
+// another goroutine holds a shard's lock it may conservatively report
+// nothing dispatchable).
 func (q *Queue) TryDequeue() (e *Entry, ok bool) {
 	// A harvest of one into a one-slot buffer that never leaves the
 	// stack: the only allocation is the dispatched Entry itself.
@@ -693,16 +702,16 @@ func (q *Queue) Dequeue() (e *Entry, ok bool) {
 }
 
 // maxDispatchSpins bounds how many consecutive inconclusive dispatch
-// attempts (cross-shard TryLock losses) a blocking dequeue re-runs with
-// Gosched before parking. Unbounded rescanning burns a core for as long
-// as the TryLocks keep colliding — exactly what happens when consumers
-// outnumber shards.
+// attempts (shard TryLock losses) a blocking dequeue re-runs with Gosched
+// before parking. Unbounded retrying burns a core for as long as the
+// TryLocks keep colliding — exactly what happens when consumers outnumber
+// shards.
 const maxDispatchSpins = 64
 
 // dispatchBackoff is how long a retry-exhausted consumer parks before a
-// forced rescan. Colliding TryLocks leave no eventcount bump behind, so a
+// forced retry. Colliding TryLocks leave no eventcount bump behind, so a
 // pure generation sleep could strand consumers that each lost a race to
-// the other; the timed broadcast guarantees a conclusive rescan instead.
+// the other; the timed broadcast guarantees a conclusive attempt instead.
 const dispatchBackoff = time.Millisecond
 
 // DequeueContext blocks until an entry is dispatchable, ctx is done, or
@@ -727,23 +736,23 @@ func (q *Queue) DequeueContext(ctx context.Context) (*Entry, error) {
 func (q *Queue) Complete(e *Entry) { q.complete(e, false) }
 
 // CompleteNext completes e like Complete and then attempts a chain
-// handoff: one targeted dispatch on the shard whose keys e just
-// released, returning the claimed entry if one was dispatchable. The
-// point is critical-path scheduling. When a deep per-key backlog drains
-// through sleeping or otherwise slow handlers, the chain only advances
-// when some consumer's scan happens to pick its next link; consumers
-// that instead wander off to shallower work leave the longest chain —
-// the workload's critical path — idle between links. The completer is
-// the one consumer guaranteed to be awake at exactly the moment the
-// successor becomes dispatchable, so handing the chain directly to it
-// removes the wake-and-rescan latency from every link. The handoff
-// consumes one of the completion's wake slots (wakeShard's bound drops
-// by one), keeping the woken-consumer count matched to the remaining
-// newly-dispatchable entries.
+// handoff: it dispatches to the caller a successor this completion just
+// made ready — the next claimant of a key e released, now free of every
+// other condition too — or, when it made none ready, the oldest ready
+// entry of the shard credited with the completion. The point is
+// critical-path scheduling. When a deep per-key backlog drains through
+// sleeping or otherwise slow handlers, the chain only advances when some
+// consumer picks up its next link; consumers that instead wander off to
+// shallower work leave the longest chain — the workload's critical path —
+// idle between links. The completer is the one consumer guaranteed to be
+// awake at exactly the moment the successor becomes dispatchable, and it
+// knows which entry that is, so handing the chain directly to it removes
+// the wake-and-pop latency from every link. An entry handed off is not
+// counted among those the completion wakes consumers for.
 //
-// ok=false means no entry on that shard was immediately dispatchable —
-// the caller goes back to its normal Dequeue loop. Sequential entries
-// and entries that released no keys never hand off.
+// ok=false means nothing was immediately dispatchable — the caller goes
+// back to its normal Dequeue loop. Sequential entries and entries that
+// released no keys never hand off.
 func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
 	next = q.complete(e, true)
 	return next, next != nil
@@ -751,9 +760,12 @@ func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
 
 // complete is the one completion body: free e's synchronization state,
 // count and trace the completion, attempt the chain handoff when asked
-// (see CompleteNext), and retire the in-flight handler.
+// (see CompleteNext), link the entries it made ready, and retire the
+// in-flight handler.
 func (q *Queue) complete(e *Entry, handoff bool) (next *Entry) {
-	ws := q.releaseEntryState(e)
+	handoff = handoff && len(e.msg.Keys) > 0 && e.msg.Mode != ModeSequential
+	d := deferred{hold: handoff}
+	ws := q.releaseEntryState(e, &d)
 	if ws != nil {
 		ws.completed.Add(1)
 	} else {
@@ -762,11 +774,19 @@ func (q *Queue) complete(e *Entry, handoff bool) (next *Entry) {
 	if t := q.tr; t != nil && e.msg.TraceID != 0 {
 		t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceComplete, e.seq, 0)
 	}
-	nkeys := len(e.msg.Keys)
-	if handoff && ws != nil && nkeys > 0 && !q.bar.active.Load() {
-		var one [1]*Entry
-		if es, _ := q.harvestShard(ws, 1, one[:0]); len(es) > 0 {
-			next = es[0]
+	if handoff && !q.bar.active.Load() {
+		if n := d.owed; n != nil {
+			d.owed, n.owed = n.owed, nil
+			d.nready-- // handed off, not woken for
+			next, _ = q.take(n, false, true, &d)
+		}
+		if next == nil {
+			var one [1]*Entry
+			if es, _ := q.harvestShard(ws, 1, one[:0]); len(es) > 0 {
+				next = es[0]
+			}
+		}
+		if next != nil {
 			q.g.handoffs.Add(1)
 			if t := q.tr; t != nil && next.msg.TraceID != 0 {
 				// The handoff event belongs to the claimed successor; Arg
@@ -774,77 +794,54 @@ func (q *Queue) complete(e *Entry, handoff bool) (next *Entry) {
 				// chain critical paths link to link.
 				t.record(ws.idx, next.msg.TraceID, TraceHandoff, next.seq, int64(e.seq))
 			}
-			// The claimed entry consumes a wake slot only when it IS one
-			// of the completion's successors (shares a released key).
-			// The scan picks the shard's oldest dispatchable entry, which
-			// may belong to a different chain; e's own successor then
-			// still needs its wakeup, or it idles until some unrelated
-			// scan stumbles on it.
-			if keySetsOverlap(e.msg.Keys, next.msg.Keys) {
-				nkeys--
-			}
 		}
 	}
-	q.finishInflight(ws, nkeys, 1)
+	q.settle(ws, &d, 1)
 	return next
 }
 
-// keySetsOverlap reports whether two key sets share a key. Key sets are
-// tiny (MaxKeySet-bounded), so the quadratic scan beats any map.
-func keySetsOverlap(a, b []Key) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // releaseEntryState frees the synchronization state a dispatched entry
-// holds — its key set's in-flight counts, or the active sequential
-// barrier — and returns the shard credited with the event (nil for
-// sequential entries). It is the half of completion shared by Complete
-// and Release; neither counting nor waking happens here.
-func (q *Queue) releaseEntryState(e *Entry) *shard {
-	switch e.msg.Mode {
-	case ModeSequential:
+// holds — its share of its keys' in-flight counts, or the active
+// sequential barrier — and returns the shard credited with the event
+// (nil for sequential entries). It is the half of completion shared by
+// Complete and Release; neither counting nor waking happens here. d
+// collects the ready-list links of the entries the freed keys unblocked.
+func (q *Queue) releaseEntryState(e *Entry, d *deferred) *shard {
+	if e.msg.Mode == ModeSequential {
 		q.completeBarrier()
 		return nil
-	case ModeNoSync:
-		// No key state to release.
-		return q.shardFromMask(e.smask)
-	default:
-		mask := e.smask
-		if len(e.msg.Keys) > 0 {
-			if mask == 0 {
-				// Entry not minted by this queue's dispatch path (possible
-				// through the exported struct); recompute its shard set.
-				mask = q.keysMask(e.msg.Keys)
-			}
-			q.releaseKeys(mask, e.msg.Keys)
-		}
-		return q.shardFromMask(mask)
 	}
+	if len(e.msg.Keys) > 0 {
+		q.releaseKeys(e, d)
+	}
+	return q.shardFromMask(e.smask)
 }
 
 // finishInflight retires n in-flight handlers that resolved together
 // (one, outside a batch): it drops the global in-flight count, completes
-// a Drain that was waiting on it, and wakes consumers (scoped to ws when
-// the event is shard-local). nkeys is the number of keys released — the
-// wake bound wakeShard needs.
-func (q *Queue) finishInflight(ws *shard, nkeys, n int) {
+// a Drain that was waiting on it, and wakes as many consumers as the
+// event made entries ready (nready), scoped to ws when it is
+// shard-local. An event that made nothing ready wakes nobody — unless it
+// emptied the machine while a sequential barrier waits to activate or a
+// closed queue's consumers wait to learn it drained, which only a
+// consumer's own look can discover.
+func (q *Queue) finishInflight(ws *shard, nready, n int) {
 	// The drainWaiters gate is sound because Drain publishes its waiter
 	// count before checking emptiness itself; isIdle re-checks in the one
 	// read order the dispatch protocol makes safe.
-	if q.inflightAll.Add(-int64(n)) == 0 && q.drainWaiters.Load() > 0 && q.isIdle() {
-		q.notifyEmpty()
+	if q.inflightAll.Add(-int64(n)) == 0 {
+		if q.drainWaiters.Load() > 0 && q.isIdle() {
+			q.notifyEmpty()
+		}
+		if q.bar.minSeq.Load() != 0 || q.closed.Load() {
+			ws = nil
+		}
 	}
-	if ws != nil {
-		q.wakeShard(ws, nkeys)
-	} else {
+	switch {
+	case ws == nil:
 		q.wakeGlobal()
+	case nready > 0:
+		q.wakeShard(ws, nready)
 	}
 }
 
@@ -925,13 +922,13 @@ func (q *Queue) notifyEmpty() {
 
 // wakeShard publishes a dispatchability change scoped to one shard (its
 // enqueues or key releases): it advances the shard's eventcount generation
-// and wakes up to n sleeping consumers, where n bounds how many entries
-// the event can have made dispatchable — one per enqueued entry, one per
-// released key (each key's next claimant). Waking only that many replaces
-// the old broadcast: when most of the queue is key-blocked behind slow
-// handlers, broadcasting every completion turns the idle consumers into a
-// thundering herd that rescans the conflicted backlog on a core the
-// critical chain needs. Boundedness cannot strand a dispatchable entry: a
+// and wakes up to n sleeping consumers, where n is how many entries the
+// event made dispatchable — one per enqueued entry (which a consumer must
+// at least drain from the intake ring), and for a completion exactly the
+// entries its released keys made ready. When most of the queue is
+// key-blocked behind slow handlers, waking more than that turns the idle
+// consumers into a thundering herd on a core the critical chain needs.
+// Exactness cannot strand a dispatchable entry: a
 // consumer that misses a Signal because it had not parked yet re-checks
 // the generation sum under waitMu and skips the park, and a woken
 // consumer that loses its entry to an active one simply parks again —
@@ -1107,7 +1104,7 @@ func (q *Queue) reserveSlotWait(ctx context.Context) error {
 
 // releaseSlot returns one capacity slot when an entry dispatches (pending
 // shrinks before Complete, exactly as in the unsharded queue). It runs on
-// every bounded-queue dispatch — from under a shard lock in the scan — so
+// every bounded-queue dispatch — from under a shard lock in the harvest — so
 // the cond handshake is gated on a published producer-waiter, mirroring
 // the consumer side's q.waiters gate: with nobody blocked in EnqueueWait,
 // freeing a slot is one atomic add.

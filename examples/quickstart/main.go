@@ -33,7 +33,7 @@ func main() {
 	balances := make([]int64, accounts)
 	var heartbeat atomic.Int64
 
-	q := pdq.New(pdq.WithSearchWindow(64), pdq.WithCapacity(4096))
+	q := pdq.New(pdq.WithCapacity(4096))
 	pool := pdq.Serve(context.Background(), q, runtime.GOMAXPROCS(0))
 	ctx := context.Background()
 

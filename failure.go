@@ -47,7 +47,8 @@ func (p *PanicError) Unwrap() error {
 // merged invocation failed. Like Complete, Release must be called
 // exactly once per dispatched entry, in place of Complete.
 func (q *Queue) Release(e *Entry, err error) {
-	ws := q.releaseEntryState(e)
+	var d deferred
+	ws := q.releaseEntryState(e, &d)
 	q.g.released.Add(1)
 	if t := q.tr; t != nil && e.msg.TraceID != 0 {
 		t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceRelease, e.seq, int64(e.attempt))
@@ -59,7 +60,7 @@ func (q *Queue) Release(e *Entry, err error) {
 	for _, m := range e.extraList() {
 		q.resolveFailed(m, e.attempt, err)
 	}
-	q.finishInflight(ws, len(e.msg.Keys), 1)
+	q.settle(ws, &d, 1)
 }
 
 // resolveFailed routes one released message through the failure policy:
@@ -159,7 +160,7 @@ func (q *Queue) Run(e *Entry) error {
 // dispatchable on the released shard. A failing handler follows the
 // normal Release path and never hands off. Serve's workers use this to
 // stay glued to a deep per-key chain instead of re-entering the general
-// dequeue scan between links.
+// dequeue path between links.
 func (q *Queue) RunNext(e *Entry) (next *Entry, ok bool, err error) {
 	if pe := q.runHandler(e); pe != nil {
 		q.g.panics.Add(1)

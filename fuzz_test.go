@@ -31,6 +31,9 @@ func FuzzKeySetDispatch(f *testing.F) {
 	f.Add([]byte{3, 16, 5, 1, 200, 32, 9}, uint8(1), uint8(2))
 	f.Add([]byte{250, 17, 80, 5, 5, 64, 33, 2, 96, 128, 40}, uint8(2), uint8(3))
 	f.Add([]byte{16, 16, 1, 1, 255, 254, 253, 48, 11, 23}, uint8(3), uint8(0))
+	for i, script := range readySeedScripts() {
+		f.Add(script, uint8(i), uint8(3*i+1)) // the model test's generator (ready_test.go)
+	}
 	f.Fuzz(func(t *testing.T, script []byte, rawShards, rawRing uint8) {
 		if len(script) > 512 {
 			script = script[:512]
@@ -139,6 +142,9 @@ func FuzzBatchDispatch(f *testing.F) {
 	f.Add([]byte{17, 17, 17, 33, 49}, uint8(0), uint8(15)) // coalescable runs
 	f.Add([]byte{3, 16, 5, 1, 200, 32, 9}, uint8(2), uint8(3))
 	f.Add([]byte{250, 17, 80, 5, 5, 64, 33, 2, 96, 128, 40}, uint8(3), uint8(11))
+	for i, script := range readySeedScripts() {
+		f.Add(script, uint8(i), uint8(3*i+1)) // the model test's generator (ready_test.go)
+	}
 	f.Fuzz(func(t *testing.T, script []byte, rawShards, rawBatch uint8) {
 		if len(script) > 512 {
 			script = script[:512]
@@ -273,6 +279,9 @@ func FuzzSchedDispatch(f *testing.F) {
 	f.Add([]byte{0, 8, 16, 24, 1, 9, 17}, uint8(0), uint8(7)) // delays and births-expired
 	f.Add([]byte{3, 64, 129, 200, 32, 9, 255, 2, 66, 130}, uint8(2), uint8(5))
 	f.Add([]byte{250, 17, 80, 5, 5, 64, 33, 2, 96, 128, 40}, uint8(3), uint8(15))
+	for i, script := range readySeedScripts() {
+		f.Add(script, uint8(i), uint8(3*i+1)) // the model test's generator (ready_test.go)
+	}
 	f.Fuzz(func(t *testing.T, script []byte, rawShards, rawBatch uint8) {
 		if len(script) > 256 {
 			script = script[:256]

@@ -30,7 +30,7 @@ func TestKeySetOverlapSerializes(t *testing.T) {
 	if e, ok := q.TryDequeue(); ok {
 		t.Fatalf("overlapping key set dispatched concurrently: %v", e.Message().Keys)
 	}
-	if q.Stats().KeyConflicts == 0 {
+	if s := q.Stats(); s.KeyConflicts+s.OrderConflicts == 0 {
 		t.Fatal("overlap conflict not counted")
 	}
 	q.Complete(a)
@@ -312,7 +312,7 @@ func TestKeySetDuplicateKeysHarmless(t *testing.T) {
 // after a drain the maps are empty even when every round used distinct
 // keys, and dispatch order still holds throughout.
 func TestShadowMapBounded(t *testing.T) {
-	q := New(WithSearchWindow(-1))
+	q := New()
 	nop := func(any) {}
 	const batch = 4000
 	drain := func(blocker *Entry, n int) {
@@ -343,10 +343,10 @@ func TestShadowMapBounded(t *testing.T) {
 	}
 	s := &q.shards[0]
 	s.mu.Lock()
-	sz := len(s.claims)
+	sz := len(s.keys)
 	s.mu.Unlock()
 	if sz != 0 {
-		t.Fatalf("claim map retained %d keys after drain; claims not released", sz)
+		t.Fatalf("key table retained %d records after drain; claims not released", sz)
 	}
 }
 

@@ -13,8 +13,8 @@ import (
 // workers — the virtualization the paper marks as an active research area
 // (Section 3.2: "virtualizing the PDQ hardware to provide multiple
 // protected message queues per processor"). Each virtual queue keeps full
-// PDQ semantics in isolation (its own key sets, barriers, and search
-// window); the mux adds protection (queues cannot observe or block each
+// PDQ semantics in isolation (its own key sets, barriers, and ready
+// lists); the mux adds protection (queues cannot observe or block each
 // other, beyond sharing worker capacity) and round-robin fairness across
 // queues so one busy protocol cannot starve another.
 //

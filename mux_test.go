@@ -45,7 +45,7 @@ func TestMuxQueueLookupIdempotent(t *testing.T) {
 	a, _ := m.Queue("x")
 	// Opts for an existing name are rejected with ErrQueueExists, but the
 	// existing queue still comes back (see TestMuxQueueExistsSentinel).
-	b, err := m.Queue("x", WithSearchWindow(1))
+	b, err := m.Queue("x", WithCapacity(1))
 	if !errors.Is(err, ErrQueueExists) {
 		t.Fatalf("err = %v, want ErrQueueExists for opts on an existing name", err)
 	}

@@ -5,31 +5,20 @@ import "time"
 // config collects queue construction parameters assembled by New from
 // Options; it is not part of the public surface.
 type config struct {
-	searchWindow int
-	capacity     int
-	shards       int
-	intakeRing   int
-	retry        int
-	deadLetter   func(m Message, err error)
-	coalesce     bool
-	coalesceMax  int
-	traceRate    float64
-	traceNode    int
+	capacity    int
+	shards      int
+	intakeRing  int
+	retry       int
+	deadLetter  func(m Message, err error)
+	coalesce    bool
+	coalesceMax int
+	traceRate   float64
+	traceNode   int
 }
 
 // Option configures a Queue at construction time. Options are applied in
 // order; later options override earlier ones.
 type Option func(*config)
-
-// WithSearchWindow bounds how many pending entries the dispatcher examines
-// per dequeue, mirroring the bounded dispatch buffer of a hardware PDQ
-// (paper Section 3.2). The budget applies to each priority band of each
-// shard's scan (a conflicted band never starves another band of its
-// search window). n <= 0 means unbounded search. Queues default to
-// DefaultSearchWindow.
-func WithSearchWindow(n int) Option {
-	return func(c *config) { c.searchWindow = n }
-}
 
 // WithCapacity bounds the number of pending entries. Enqueue beyond
 // capacity fails with ErrFull and EnqueueWait blocks (the hardware
@@ -40,17 +29,15 @@ func WithCapacity(n int) Option {
 }
 
 // WithShards partitions the synchronization key space across n dispatch
-// shards, each with its own pending list, in-flight map, claim queues, and
+// shards, each with its own pending and ready lists, per-key records, and
 // lock, so traffic on keys owned by different shards never contends on a
 // shared mutex. n is rounded up to a power of two and capped at 64;
 // n <= 0 derives the count from GOMAXPROCS. Multi-key entries spanning
-// shards are homed on the shard of their lowest-hashing key and reserve
+// shards are homed on the shard of their lowest-hashing key and claim
 // their remaining keys on the other shards, and Sequential entries drain
 // all shards through a cross-shard epoch barrier. Queues default to a
-// single shard, which preserves the exact global bounded-window scan
-// semantics of the unsharded dispatcher (with n > 1 the search window
-// bounds each shard's scan instead, so head-of-line blocking is per
-// shard).
+// single shard, on which ready entries of one band dispatch in exact
+// global enqueue order (with n > 1 that order is per shard).
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }

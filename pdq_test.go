@@ -214,44 +214,45 @@ func TestUnkeyedBehavesLikeNoSync(t *testing.T) {
 	q.Complete(e2)
 }
 
-func TestSearchWindowStalls(t *testing.T) {
-	q := New(WithSearchWindow(2))
+// TestDeepBlockedPrefix: a free-key entry behind 10 000 entries blocked on
+// one in-flight key dispatches at once — there is no search window for
+// the blocked prefix to exhaust — and the conflict counters charge each
+// entry at most once, at admission, however often dispatch is attempted.
+func TestDeepBlockedPrefix(t *testing.T) {
+	q := New()
 	nop := func(any) {}
+	const depth = 10_000
 	mustEnqueue(t, q.Enqueue(nop, WithKey(1)))
-	mustEnqueue(t, q.Enqueue(nop, WithKey(1)))
-	mustEnqueue(t, q.Enqueue(nop, WithKey(1)))
-	mustEnqueue(t, q.Enqueue(nop, WithKey(2))) // outside window once key-1 blocks
 	e1, _ := q.TryDequeue()
-	// Pending is now [k1 k1 k2]; the window covers the two blocked key-1
-	// entries only, so the dispatchable key-2 entry is invisible and
-	// dispatch stalls (head-of-line blocking, as in the paper's bounded
-	// associative search).
-	if _, ok := q.TryDequeue(); ok {
-		t.Fatal("dispatched beyond the search window")
-	}
-	if q.Stats().WindowStalls == 0 {
-		t.Fatal("window stall not counted")
-	}
-	q.Complete(e1)
-	if _, ok := q.TryDequeue(); !ok {
-		t.Fatal("queue should dispatch after conflict clears")
-	}
-}
-
-func TestUnboundedWindow(t *testing.T) {
-	q := New(WithSearchWindow(-1))
-	nop := func(any) {}
-	for i := 0; i < 100; i++ {
+	for i := 0; i < depth; i++ {
 		mustEnqueue(t, q.Enqueue(nop, WithKey(1)))
 	}
 	mustEnqueue(t, q.Enqueue(nop, WithKey(2)))
-	e1, _ := q.TryDequeue()
 	e2, ok := q.TryDequeue()
 	if !ok || e2.Message().Keys[0] != 2 {
-		t.Fatal("unbounded window should find the distinct key at position 101")
+		t.Fatal("free-key entry behind the blocked prefix did not dispatch")
 	}
-	q.Complete(e1)
+	for i := 0; i < 100; i++ {
+		if _, ok := q.TryDequeue(); ok {
+			t.Fatal("dispatched past in-flight key 1")
+		}
+	}
+	s := q.Stats()
+	if probes := s.KeyConflicts + s.OrderConflicts; probes > s.Enqueued {
+		t.Fatalf("conflicts = %d for %d admitted entries; want at most one each", probes, s.Enqueued)
+	}
+	if s.KeyConflicts != depth || s.WindowStalls != 0 {
+		t.Fatalf("KeyConflicts = %d, WindowStalls = %d; want %d, 0", s.KeyConflicts, s.WindowStalls, depth)
+	}
 	q.Complete(e2)
+	q.Complete(e1)
+	for i := 0; i < depth; i++ {
+		e, ok := q.TryDequeue()
+		if !ok {
+			t.Fatalf("prefix entry %d did not dispatch after its predecessor completed", i)
+		}
+		q.Complete(e)
+	}
 }
 
 func TestCapacityRejects(t *testing.T) {
@@ -450,7 +451,7 @@ func TestStatsCounts(t *testing.T) {
 	q.TryDequeue() // conflict
 	q.Complete(e)
 	s := q.Stats()
-	if s.Enqueued != 2 || s.Dispatched != 1 || s.Completed != 1 || s.KeyConflicts == 0 {
+	if s.Enqueued != 2 || s.Dispatched != 1 || s.Completed != 1 || s.KeyConflicts+s.OrderConflicts != 1 {
 		t.Fatalf("unexpected stats: %s", s)
 	}
 	if s.MaxPending != 2 {

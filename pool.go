@@ -72,7 +72,7 @@ func (p *Pool) worker(ctx context.Context) {
 		// success hands the worker the completed entry's chain successor
 		// when one is immediately dispatchable — the worker rides a deep
 		// per-key backlog link to link instead of re-entering the general
-		// scan (see CompleteNext). Cancellation is honored between links:
+		// dequeue (see CompleteNext). Cancellation is honored between links:
 		// a cancelled worker finishes the entry it holds without handing
 		// off, exactly like Run.
 		for {

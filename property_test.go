@@ -54,8 +54,8 @@ func genScript(r *rand.Rand, n int) []scriptEntry {
 //     enqueue order on every shared key;
 //  3. a sequential handler overlaps nothing and observes all earlier
 //     handlers complete and no later handler started.
-func runScript(t *testing.T, script []scriptEntry, workers, window int, extra ...Option) bool {
-	q := New(append([]Option{WithSearchWindow(window)}, extra...)...)
+func runScript(t *testing.T, script []scriptEntry, workers int, opts ...Option) bool {
+	q := New(opts...)
 	var ran atomic.Int64
 	var bad atomic.Int32
 	var activeAll atomic.Int32
@@ -149,12 +149,11 @@ func runScript(t *testing.T, script []scriptEntry, workers, window int, extra ..
 
 func TestPropertyInvariantsRandomScripts(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 40}
-	f := func(seed int64, rawWorkers, rawWindow uint8) bool {
+	f := func(seed int64, rawWorkers uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		workers := int(rawWorkers%8) + 1
-		window := []int{-1, 1, 4, 16, 64}[int(rawWindow)%5]
 		script := genScript(r, 120)
-		return runScript(t, script, workers, window)
+		return runScript(t, script, workers)
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
@@ -188,10 +187,10 @@ func TestPropertyDrainAlwaysEmpties(t *testing.T) {
 
 func TestPropertyStatsBalance(t *testing.T) {
 	// After close+drain: enqueued == dispatched == completed, regardless of
-	// the mix of modes, key-set sizes, workers, or window size.
+	// the mix of modes, key-set sizes, or workers.
 	f := func(seed int64, rawWorkers uint8) bool {
 		r := rand.New(rand.NewSource(seed))
-		q := New(WithSearchWindow(1 + r.Intn(32)))
+		q := New()
 		script := genScript(r, 80)
 		for _, op := range script {
 			var err error

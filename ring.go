@@ -58,16 +58,16 @@ package pdq
 //     Enqueue returned is therefore always visible to Drain, Len, and
 //     the consumers' shard-skip check, even while it sits in the ring.
 //
-//   - Barrier gating: scans read the barrier gate AFTER draining the
+//   - Barrier gating: harvests read the barrier gate AFTER draining the
 //     ring. A drained entry's seq is assigned at drain time, so if it
 //     exceeds a pending barrier's seq, the barrier's floor store
 //     happened before the drain's sequence fetch — and the gate load
 //     that follows the drain is then guaranteed to observe it.
 //
-//   - Claim order: claims for ring entries are pushed only by the
-//     draining consumer under the owning shard's lock, with sequence
-//     numbers fetched under that lock, so every per-key claim queue is
-//     still pushed in strictly increasing seq order.
+//   - Claim order: ring entries join their keys' claim queues only in
+//     the drain, under the owning shard's lock, with sequence numbers
+//     fetched under that lock, so every per-key claim queue is still
+//     joined in strictly increasing seq order.
 
 import (
 	"runtime"
@@ -174,6 +174,9 @@ func (q *Queue) enqueueIntake(s *shard, n *node) error {
 		if q.drainWaiters.Load() > 0 && q.isIdle() {
 			q.notifyEmpty()
 		}
+		// A consumer that read the transient count took the closed queue
+		// for undrained and may have parked on it.
+		q.wakeGlobal()
 		return ErrClosed
 	}
 	if t, id := q.tr, n.entry.msg.TraceID; t != nil && id != 0 {
@@ -202,7 +205,7 @@ func (q *Queue) publishIntake(s *shard, n *node) {
 		// ring is full. A consumer that isn't running right now may never
 		// free it on this CPU, so try to become the consumer immediately
 		// rather than spinning first — the spin below is reserved for the
-		// case where the lock holder is actively draining (or scanning) on
+		// case where the lock holder is actively draining (or harvesting) on
 		// another CPU and will free the slot shortly.
 		spins := 0
 		for {
@@ -215,6 +218,16 @@ func (q *Queue) publishIntake(s *shard, n *node) {
 				sl.seq.Store(pos + 1)
 				in.fallbacks.Add(1)
 				s.mu.Unlock()
+				// A full ring with a consumer parked means that consumer
+				// was signalled a ring of publishes ago and has not run
+				// since: it lacks a processor, so offer this one. A
+				// producer that never blocks otherwise holds its P until
+				// preempted, the woken worker waiting out the slice behind
+				// it. With no consumer parked they are merely busy, and
+				// yielding would only slow the producer.
+				if q.waiters.Load() > 0 {
+					runtime.Gosched()
+				}
 				return
 			}
 			for i := 0; i < ringPublishSpins; i++ {
@@ -251,10 +264,13 @@ func (q *Queue) drainIntake(s *shard, stop uint64, wait bool) {
 	if head >= stop {
 		return
 	}
-	if occ := int(in.tail.Load() - head); occ > s.stats.maxRingOcc {
+	size := uint64(len(in.slots))
+	// tail counts claimed positions, and a producer may claim one while
+	// every slot is still occupied (it then waits for its slot): the
+	// occupied slots are at most the ring.
+	if occ := int(min(in.tail.Load()-head, size)); occ > s.stats.maxRingOcc {
 		s.stats.maxRingOcc = occ
 	}
-	size := uint64(len(in.slots))
 	for head < stop {
 		sl := &in.slots[head&in.mask]
 		if sl.seq.Load() != head+1 {

@@ -362,3 +362,41 @@ func TestNodePoolCounters(t *testing.T) {
 		t.Fatalf("burst accounting off: %s", s)
 	}
 }
+
+// TestRingMaxOccupancyBounded overfills a small ring — many more
+// producers than slots, no consumer — so producers hold claimed
+// positions beyond the ring while they wait for a slot. The high-water
+// mark counts occupied slots, so it can reach the ring size and never
+// pass it (it once read tail − head, which also counts those waiters).
+func TestRingMaxOccupancyBounded(t *testing.T) {
+	const size = 8
+	q := New(WithIntakeRing(size))
+	var wg sync.WaitGroup
+	for g := 0; g < 4*size; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if err := q.Enqueue(func(any) {}, WithKey(Key(g))); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for {
+		e, ok := q.TryDequeue()
+		if !ok {
+			break
+		}
+		q.Complete(e)
+	}
+	s := q.Stats()
+	if s.RingFallbacks == 0 {
+		t.Fatalf("the ring never filled: %s", s)
+	}
+	if s.RingMaxOccupancy < 1 || s.RingMaxOccupancy > size {
+		t.Fatalf("RingMaxOccupancy = %d, want within [1, %d]", s.RingMaxOccupancy, size)
+	}
+}

@@ -2,11 +2,11 @@ package pdq
 
 // Time- and priority-aware scheduling. The dispatch core decides WHO may
 // run together (key sets, barriers); this file decides WHEN a pending
-// entry becomes eligible and WHICH eligible entry a scan serves first:
+// entry becomes eligible and WHICH eligible entry a harvest serves first:
 //
 //   - Priority classes: every message carries one of NumPriorities bands
-//     (WithPriority; default 0, the lowest). Each shard keeps one pending
-//     list per band and scans higher bands first, with a weighted
+//     (WithPriority; default 0, the lowest). Each shard keeps one ready
+//     list per band and pops higher bands first, with a weighted
 //     anti-starvation credit (creditLimit) that periodically serves a
 //     starved lower band ahead of the others, so low bands always
 //     progress under high-band floods. Per-key FIFO is global — the claim
@@ -16,8 +16,8 @@ package pdq
 //     key sets).
 //
 //   - Delayed delivery: WithDelay/WithNotBefore park the entry in its
-//     home shard's timer heap until maturity; the scan moves ripe entries
-//     into their bands, and consumers sleeping in blockDequeue arm a
+//     home shard's timer heap until maturity; the harvest retires ripe
+//     entries' maturity condition, and consumers sleeping in blockDequeue arm a
 //     timed park for the earliest maturity instead of polling. A delayed
 //     entry keeps its claims (and so its per-key queue position) while it
 //     sleeps: same-key successors wait for it, Drain waits for it to
@@ -26,15 +26,14 @@ package pdq
 //     matures nothing.
 //
 //   - Deadlines: WithDeadline/WithTTL mark the message as worthless after
-//     an instant. An expired entry never dispatches: the scan that
-//     examines it removes its claims and routes its message to the
-//     dead-letter hook with ErrExpired (exactly once). Expiry is lazy —
-//     detected when a scan reaches the entry, or at maturity for a
-//     delayed entry — so the dead-letter call can trail the deadline.
+//     an instant. An expired entry never dispatches: the pop that meets
+//     it removes its claims and routes its message to the dead-letter
+//     hook with ErrExpired (exactly once). Expiry is lazy — detected when
+//     the entry, ready to dispatch, is popped — so the dead-letter call
+//     can trail the deadline, by as long as the entry stays blocked.
 
 import (
 	"math"
-	"math/bits"
 	"time"
 )
 
@@ -103,7 +102,7 @@ const priorityCreditBase = 8
 
 // creditLimit is the starvation threshold of band b: the number of
 // higher-band dispatches (while b has mature pending work) after which
-// the next scan serves band b first.
+// the next harvest serves band b first.
 func creditLimit(b int) uint32 {
 	return priorityCreditBase << (NumPriorities - 1 - b)
 }
@@ -129,21 +128,22 @@ func WithDelay(d time.Duration) EnqueueOption {
 // Drain (and any Sequential barrier enqueued after it) waits for it to
 // mature and dispatch. Maturity is honored to timer precision when
 // consumers are blocked (they park with a timer for the earliest
-// maturity) and at the next scan otherwise; an unserved queue matures
+// maturity) and at the next harvest otherwise; an unserved queue matures
 // nothing. A past t delivers immediately.
 func WithNotBefore(t time.Time) EnqueueOption {
 	return EnqueueOption{notBefore: t, hasNotBefore: true}
 }
 
 // WithDeadline marks the message worthless at t: an entry that has not
-// dispatched by then never runs its handler — the scan that reaches it
-// drops it and hands its Message to the dead-letter hook with ErrExpired
-// (exactly once), freeing its key claims so later same-key messages
-// proceed. Expiry applies to dispatch, not execution: once a handler
-// starts, the deadline is moot. Detection is lazy (at the next scan that
-// examines the entry, or at maturity for a delayed entry), so the
-// dead-letter call can trail t. A deadline already past expires the
-// message at its first scan.
+// dispatched by then never runs its handler — the pop that would have
+// dispatched it drops it instead and hands its Message to the dead-letter
+// hook with ErrExpired (exactly once), freeing its key claims so later
+// same-key messages proceed. Expiry applies to dispatch, not execution:
+// once a handler starts, the deadline is moot. Detection is lazy — at the
+// pop that meets the entry once nothing else blocks it — so the
+// dead-letter call can trail t, and an expired message still waits its
+// turn behind earlier messages on its keys. A deadline already past
+// expires the message at its first pop.
 func WithDeadline(t time.Time) EnqueueOption {
 	return EnqueueOption{deadline: t, hasDeadline: true}
 }
@@ -156,15 +156,15 @@ func WithTTL(d time.Duration) EnqueueOption {
 	return EnqueueOption{ttl: d, hasTTL: true}
 }
 
-// entryList is a doubly linked pending list (one per shard band, plus
-// the delayed list), maintained in ascending seq order.
+// entryList is a shard's pending list: every entry homed on it, delayed
+// ones included, doubly linked in ascending seq order.
 type entryList struct {
 	head, tail *node
 }
 
 // append links n at the tail and reports whether it became the head.
-// Valid only when n.entry.seq exceeds the tail's (enqueue under the
-// shard lock, where seqs are assigned in order).
+// Admission runs under the shard lock, where seqs are assigned in order,
+// so the tail is always the place.
 func (l *entryList) append(n *node) (newHead bool) {
 	if l.tail == nil {
 		l.head, l.tail = n, n
@@ -174,28 +174,6 @@ func (l *entryList) append(n *node) (newHead bool) {
 	l.tail.next = n
 	l.tail = n
 	return false
-}
-
-// insertBySeq links n at its seq position, walking from the head — a
-// maturing delayed entry is usually older than everything still pending,
-// so the walk is short. Reports whether n became the head.
-func (l *entryList) insertBySeq(n *node) (newHead bool) {
-	at := l.head
-	for at != nil && at.entry.seq < n.entry.seq {
-		at = at.next
-	}
-	if at == nil {
-		return l.append(n)
-	}
-	n.next = at
-	n.prev = at.prev
-	at.prev = n
-	if n.prev != nil {
-		n.prev.next = n
-		return false
-	}
-	l.head = n
-	return true
 }
 
 // remove unlinks n and reports whether it was the head.
@@ -215,117 +193,166 @@ func (l *entryList) remove(n *node) (wasHead bool) {
 	return wasHead
 }
 
-// timerHeap orders a shard's immature delayed entries by maturity (ties
-// by seq). Only push and pop-min are needed: expiry of a delayed entry
-// is detected at maturity, never by plucking it from the middle.
-type timerHeap struct {
-	ns []*node
+// readyList holds one band's ready entries, oldest seq on top. Most
+// entries become ready in seq order — an unobstructed one is the newest
+// on its shard when admission links it — and chain into a FIFO through
+// node.chain. One that arrives out of order (a completion's successor
+// older than the FIFO's tail) goes to a heap instead, so no arrival
+// order makes a link or a pop more than O(log ready) and the ordered
+// ones cost O(1); the top is the older of the two heads. Nothing leaves
+// from the middle: a link gone stale is dropped by the pop that meets it.
+type readyList struct {
+	head, tail *node
+	late       nodeHeap
 }
 
-func (h *timerHeap) len() int   { return len(h.ns) }
-func (h *timerHeap) top() *node { return h.ns[0] }
-func (h *timerHeap) before(a, b *node) bool {
-	if a.entry.notBefore != b.entry.notBefore {
-		return a.entry.notBefore < b.entry.notBefore
+func (l *readyList) empty() bool { return l.head == nil && l.late.len() == 0 }
+
+func (l *readyList) push(n *node) {
+	switch {
+	case l.head == nil:
+		l.head, l.tail = n, n
+	case n.entry.seq > l.tail.entry.seq:
+		l.tail.chain = n
+		l.tail = n
+	default:
+		l.late.push(int64(n.entry.seq), n)
 	}
-	return a.entry.seq < b.entry.seq
 }
 
-// nextMature returns the earliest maturity instant, or math.MaxInt64
-// when no entry is delayed.
-func (h *timerHeap) nextMature() int64 {
-	if len(h.ns) == 0 {
+// top returns the oldest entry, or nil when there is none.
+func (l *readyList) top() *node {
+	n := l.late.top()
+	if l.head != nil && (n == nil || l.head.entry.seq < n.entry.seq) {
+		n = l.head
+	}
+	return n
+}
+
+// pop removes the entry top returns.
+func (l *readyList) pop() {
+	n := l.top()
+	if n != l.head {
+		l.late.pop()
+		return
+	}
+	l.head, n.chain = n.chain, nil
+}
+
+// nodeHeap is a binary min-heap of nodes by key (ties by seq): a shard's
+// immature delayed entries keyed by maturity, or a band's out-of-order
+// ready entries keyed by seq. Keys sit in the slots so sifting touches no
+// node. Only push and pop-min exist (expiry of a delayed entry is
+// detected after maturity, never by plucking it from the middle).
+type nodeHeap struct {
+	it []heapItem
+}
+
+type heapItem struct {
+	key int64
+	n   *node
+}
+
+func (h *nodeHeap) len() int { return len(h.it) }
+
+// top returns the minimum, or nil when the heap is empty.
+func (h *nodeHeap) top() *node {
+	if len(h.it) == 0 {
+		return nil
+	}
+	return h.it[0].n
+}
+
+func (h *nodeHeap) before(i, j int) bool {
+	a, b := &h.it[i], &h.it[j]
+	return a.key < b.key || a.key == b.key && a.n.entry.seq < b.n.entry.seq
+}
+
+// nextMature returns the smallest key — on a timer heap the earliest
+// maturity instant — or math.MaxInt64 when the heap is empty.
+func (h *nodeHeap) nextMature() int64 {
+	if len(h.it) == 0 {
 		return math.MaxInt64
 	}
-	return h.ns[0].entry.notBefore
+	return h.it[0].key
 }
 
-func (h *timerHeap) push(n *node) {
-	h.ns = append(h.ns, n)
-	i := len(h.ns) - 1
-	for i > 0 {
+func (h *nodeHeap) push(key int64, n *node) {
+	h.it = append(h.it, heapItem{key, n})
+	for i := len(h.it) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !h.before(h.ns[i], h.ns[p]) {
+		if !h.before(i, p) {
 			break
 		}
-		h.ns[i], h.ns[p] = h.ns[p], h.ns[i]
+		h.it[i], h.it[p] = h.it[p], h.it[i]
 		i = p
 	}
 }
 
-func (h *timerHeap) pop() *node {
-	n := h.ns[0]
-	last := len(h.ns) - 1
-	h.ns[0] = h.ns[last]
-	h.ns[last] = nil
-	h.ns = h.ns[:last]
-	i := 0
-	for {
+func (h *nodeHeap) pop() *node {
+	n := h.it[0].n
+	last := len(h.it) - 1
+	h.it[0] = h.it[last]
+	h.it[last] = heapItem{}
+	h.it = h.it[:last]
+	for i := 0; ; {
 		c := 2*i + 1
 		if c >= last {
 			break
 		}
-		if c+1 < last && h.before(h.ns[c+1], h.ns[c]) {
+		if c+1 < last && h.before(c+1, c) {
 			c++
 		}
-		if !h.before(h.ns[c], h.ns[i]) {
+		if !h.before(c, i) {
 			break
 		}
-		h.ns[i], h.ns[c] = h.ns[c], h.ns[i]
+		h.it[i], h.it[c] = h.it[c], h.it[i]
 		i = c
 	}
 	return n
 }
 
-// matureRipe moves every ripe delayed entry into its priority band (in
-// seq position, keeping band lists seq-ascending). Expiry is NOT checked
-// here — a matured entry whose deadline already passed is expired by the
-// band scan that follows, which owns the cross-shard claim-removal
-// protocol. Caller holds s.mu.
+// matureRipe retires the maturity condition of every ripe delayed entry:
+// one whose keys are free as well joins its band's ready heap, any other
+// keeps waiting on them. Expiry is NOT checked here
+// — a matured entry whose deadline already passed is expired by the pop
+// that meets it. Caller holds s.mu.
 func (s *shard) matureRipe(now int64) {
-	moved := false
-	for s.timers.len() > 0 && s.timers.top().entry.notBefore <= now {
+	for s.timers.nextMature() <= now {
 		n := s.timers.pop()
-		s.delayed.remove(n)
-		s.bands[n.entry.msg.Priority].insertBySeq(n)
+		n.immature = false
 		if t := s.tr; t != nil && n.entry.msg.TraceID != 0 {
 			t.record(s.idx, n.entry.msg.TraceID, TraceMature, n.entry.seq, 0)
 		}
-		moved = true
-	}
-	if moved {
-		s.updateMinSeq()
-		s.nextMature.Store(s.timers.nextMature())
-	}
-}
-
-// updateMinSeq republishes the shard's minimum pending sequence number —
-// the min over every band head and the delayed-list head (all lists are
-// seq-ascending). Sequential-barrier activation reads it to certify the
-// pre-barrier epoch has drained, so a delayed entry must keep holding it
-// down until maturity. Caller holds s.mu.
-func (s *shard) updateMinSeq() {
-	min := uint64(math.MaxUint64)
-	for b := range s.bands {
-		if h := s.bands[b].head; h != nil && h.entry.seq < min {
-			min = h.entry.seq
+		if _, link := n.unblock(); link {
+			s.linkReady(n)
 		}
 	}
-	if h := s.delayed.head; h != nil && h.entry.seq < min {
+	s.nextMature.Store(s.timers.nextMature())
+}
+
+// updateMinSeq republishes the shard's minimum pending sequence number,
+// the head of the seq-ascending pending list. Sequential-barrier
+// activation reads it to certify the pre-barrier epoch has drained; a
+// delayed or key-blocked entry sits in that list like any other, so it
+// holds the minimum down until it dispatches. Caller holds s.mu.
+func (s *shard) updateMinSeq() {
+	min := uint64(math.MaxUint64)
+	if h := s.pending.head; h != nil {
 		min = h.entry.seq
 	}
 	s.minSeq.Store(min)
 }
 
-// bandOrder returns the band scan order for one pass: normally top band
-// down, but a starved band — credit at its limit and mature work pending
-// — is served first. The lowest starved band wins the boost (its limit
-// is the largest, so reaching it is the strongest starvation signal).
-// Caller holds s.mu.
+// bandOrder returns the band pop order for one harvest: normally top band
+// down, but a starved band — credit at its limit and an entry ready — is
+// served first. The lowest starved band wins the boost (its limit is the
+// largest, so reaching it is the strongest starvation signal). Caller
+// holds s.mu.
 func (s *shard) bandOrder() (order [NumPriorities]uint8) {
 	boost := -1
 	for b := 0; b < NumPriorities-1; b++ {
-		if s.bands[b].head != nil && s.credit[b] >= creditLimit(b) {
+		if !s.ready[b].empty() && s.credit[b] >= creditLimit(b) {
 			boost = b
 			break
 		}
@@ -345,101 +372,80 @@ func (s *shard) bandOrder() (order [NumPriorities]uint8) {
 }
 
 // creditDispatch records a dispatch of entry e from band b: the band's
-// own credit resets, every lower band left waiting with mature work
+// own credit resets, every lower band left waiting with an entry ready
 // accrues one credit toward its starvation boost, and the entry's
-// dispatch latency — time spent dispatchable, i.e. since enqueue or
-// since maturity for a delayed entry — is folded into the band's
-// histogram. now is the scan's lazily fetched clock sample (0 = not yet
-// read), shared so a batch harvest reads the clock once, not per entry.
-// Caller holds s.mu.
+// dispatch latency — time since enqueue, or since maturity for a delayed
+// entry — is folded into the band's histogram. now is the harvest's
+// lazily fetched clock sample (0 = not yet read), shared so a batch
+// harvest reads the clock once, not per entry. Caller holds s.mu.
 func (s *shard) creditDispatch(b int, e *Entry, now *int64) {
 	s.stats.prioDispatched[b]++
-	if *now == 0 {
-		*now = nowNanos()
-	}
 	base := e.enqAt
 	if e.notBefore > base {
 		base = e.notBefore
 	}
-	s.stats.latency[b].Observe(time.Duration(*now - base))
+	s.stats.latency[b].Observe(time.Duration(clock(now) - base))
 	if t := s.tr; t != nil && e.msg.TraceID != 0 {
 		t.record(s.idx, e.msg.TraceID, TraceDispatch, e.seq, int64(b))
 	}
 	s.credit[b] = 0
 	for i := 0; i < b; i++ {
-		if s.bands[i].head != nil {
+		if !s.ready[i].empty() {
 			s.credit[i]++
 		}
 	}
 }
 
-// expireIfDue applies the lazy deadline check to one scanned node,
-// fetching the clock at most once per scan through *now, and removes the
-// entry without dispatching it when its deadline has passed: its claims
-// are deleted on every involved shard (foreign shards TryLock'd, as in
-// cross-shard dispatch), the entry leaves the pending list, its capacity
-// slot returns, and its message is queued for the dead-letter hook —
-// which the caller runs via finishExpired after dropping the shard lock.
-// The in-flight count is raised first, mirroring the dispatch protocol,
-// so Drain cannot observe an idle queue while the hook is still owed.
-// handled=true means the scan must skip the node: it was expired (and
-// unlinked), or — retry=true — a foreign shard's lock was unavailable and
-// the entry stays pending for a later attempt. Caller holds s.mu.
-//
-//pdq:crossshard — holds s.mu while touching foreign shards.
-func (q *Queue) expireIfDue(s *shard, n *node, now *int64, expired *[]Message) (handled, retry bool) {
-	e := &n.entry
-	if e.deadline == 0 {
-		return false, false
-	}
+// clock returns the harvest's clock sample, reading the clock the first
+// time it is needed: a harvest that pops nothing never does.
+func clock(now *int64) int64 {
 	if *now == 0 {
 		*now = nowNanos()
 	}
-	if e.deadline > *now {
-		return false, false
-	}
-	var locked uint64
-	for m := e.smask &^ (1 << s.idx); m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << i
-		if !q.shards[i].mu.TryLock() {
-			q.unlockMask(locked)
-			return true, true
-		}
-		locked |= 1 << i
-	}
+	return *now
+}
+
+// expire removes ready entry n, homed on s and past its deadline, without
+// dispatching it: its claims leave their queues (each successor that
+// thereby heads an idle key's queue is unblocked, or, inside a
+// multi-entry harvest, offered to the in-batch exception), the entry
+// leaves the pending list, its capacity slot returns, and its message is
+// queued in d for the dead-letter hook, which the caller runs through
+// settle after dropping its locks. The in-flight count is raised first,
+// mirroring the dispatch protocol, so Drain cannot observe an idle queue
+// while the hook is still owed. Caller holds the lock of every shard in
+// the entry's smask and has already taken n off the ready list.
+//
+//pdq:crossshard — unblocks successors homed on shards whose locks are not held.
+func (q *Queue) expire(s *shard, n *node, d *deferred, ib *inBatch) {
+	e := &n.entry
 	q.inflightAll.Add(1)
-	if e.msg.Mode != ModeBarge {
-		// Barge entries hold no claim-queue positions to remove.
-		for _, k := range e.msg.Keys {
-			q.shardOf(k).removeClaim(k, e.seq)
+	barge := e.msg.Mode == ModeBarge
+	for c := e.claims; c != nil; {
+		peer, rec := c.peer, c.rec
+		o := &q.shards[rec.owner]
+		rec.leave(c, barge)
+		if h := rec.head; h != nil && !barge {
+			if rec.inflight == 0 {
+				o.unblock(h.n, d)
+			}
+			if ib != nil {
+				ib.offer(s, h.n)
+			}
 		}
+		o.freeClaim(c)
+		o.reap(rec)
+		c = peer
 	}
-	q.unlockMask(locked)
+	e.claims = nil
 	if t := s.tr; t != nil && e.msg.TraceID != 0 {
 		t.record(s.idx, e.msg.TraceID, TraceExpire, e.seq, 0)
 	}
 	s.unlink(n)
 	q.releaseSlot()
 	s.stats.expired++
-	*expired = append(*expired, e.msg)
+	d.expired = append(d.expired, e.msg)
 	s.recycle(n)
-	return true, false
-}
-
-// finishExpired resolves the entries a scan expired: each message goes
-// to the dead-letter hook with ErrExpired, then the in-flight holds
-// taken by expireIfDue retire (completing a waiting Drain) and consumers
-// are woken — removing an expired entry's claims can unblock same-key
-// successors on any shard. Must be called with no shard lock held.
-func (q *Queue) finishExpired(ms []Message) {
-	if len(ms) == 0 {
-		return
-	}
-	for _, m := range ms {
-		q.deadLetterMsg(m, ErrExpired)
-	}
-	q.finishInflight(nil, 0, len(ms))
 }
 
 // nextTimerWake returns the earliest maturity instant across all shards,

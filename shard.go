@@ -7,31 +7,39 @@ import (
 	"sync/atomic"
 )
 
-// shard is one partition of the sharded dispatch core. Each shard owns the
-// pending lists of entries homed on it (one per priority band, plus the
-// timer heap of immature delayed entries), the in-flight counts and claim
-// queues for the keys it owns, an MPSC intake ring producers publish into
-// without the lock (see ring.go), a node pool, and its own lock, so
-// single-key traffic to different shards never contends.
+// shard is one partition of the sharded dispatch core. Each shard owns
+// the entries homed on it — one seq-ordered pending list of all of them,
+// one ready list per priority band of those that may dispatch now, and
+// the timer heap of immature delayed ones — the per-key records of the
+// keys it owns, an MPSC intake ring producers publish into without the
+// lock (see ring.go), a node pool, and its own lock, so single-key
+// traffic to different shards never contends.
 //
-// Layout is deliberate: the mutex-guarded consumer state (bands, credit,
-// maps, stats — including the per-band credit counters, which only the
-// harvesting consumer touches) sits together at the top, while every
+// Dispatch is a pop (see the package doc): every pending entry carries a
+// count of unmet conditions (node.state), each event that can meet one —
+// a key going idle, a claim queue's head leaving, a delay maturing —
+// decrements the count of exactly the entries waiting on it, and the
+// entry whose count reaches zero is linked into its band's ready list at
+// that instant.
+//
+// Layout is deliberate: the mutex-guarded consumer state (lists, credit,
+// key table, stats — including the per-band credit counters, which only
+// the harvesting consumer touches) sits together at the top, while every
 // atomic that crosses the producer/consumer boundary gets a cache line of
 // its own below, so producers hammering npending or the eventcount never
-// invalidate the line a scanning consumer is walking (false sharing).
+// invalidate the line a harvesting consumer is reading (false sharing).
 type shard struct {
 	mu      sync.Mutex
 	idx     uint32
 	tr      *tracer                  // back-reference to the queue's flight recorder; nil = tracing off
-	bands   [NumPriorities]entryList // mature pending entries, one seq-ascending list per band
+	pending entryList                // every entry homed here, delayed included, seq-ascending
+	ready   [NumPriorities]readyList // dispatchable entries, oldest first per band
 	credit  [NumPriorities]uint32    // anti-starvation credits (see creditDispatch)
-	delayed entryList                // immature delayed entries in seq order
-	timers  timerHeap                // the same immature entries ordered by maturity
+	timers  nodeHeap                 // the immature delayed entries, by maturity
 
-	inflight map[Key]int      // in-flight handler count per owned key
-	claims   map[Key]*seqFIFO // pending claim seqs per owned key
-	fifoPool []*seqFIFO       // recycled claim queues
+	keys       map[Key]*keyRec // record of every owned key that is in flight or claimed
+	freeRecs   *keyRec         // recycled records, chained through keyRec.next
+	freeClaims *claim          // recycled claims, chained through claim.next
 
 	stats shardCounters
 
@@ -42,7 +50,7 @@ type shard struct {
 	npending atomic.Int64 // entries homed here (intake ring included), readable without mu
 	_        cpad
 	//pdq:isolated
-	minSeq atomic.Uint64 // min pending seq across bands and delayed; MaxUint64 when empty
+	minSeq atomic.Uint64 // min pending seq (delayed included); MaxUint64 when empty
 	_      cpad
 	//pdq:isolated
 	nextMature atomic.Int64 // earliest maturity instant; MaxInt64 when nothing is delayed
@@ -66,9 +74,8 @@ type shardCounters struct {
 	noSyncDispatched   uint64
 	bargeDispatched    uint64
 	multiKeyDispatched uint64
-	keyConflicts       uint64
-	orderConflicts     uint64
-	windowStalls       uint64
+	keyConflicts       uint64 // entries admitted behind an in-flight key
+	orderConflicts     uint64 // entries admitted behind an earlier claimant only
 	batches            uint64 // successful batch harvests from this shard
 	batchEntries       uint64 // messages those harvests dispatched (coalesced included)
 	coalesced          uint64 // messages merged beyond their run's representative
@@ -78,56 +85,257 @@ type shardCounters struct {
 	latency            [NumPriorities]LatencyHistogram // dispatch latency per band (see Stats.BandLatency)
 	maxPending         int
 	maxBatch           int // largest harvest from this shard, in messages
-	maxRingOcc         int // deepest intake-ring backlog met by a drain
+	maxRingOcc         int // most intake-ring slots found occupied by a drain
 }
 
 func (s *shard) init(idx uint32, ring int) {
 	s.idx = idx
-	s.inflight = make(map[Key]int)
-	s.claims = make(map[Key]*seqFIFO)
+	s.keys = make(map[Key]*keyRec)
 	s.minSeq.Store(math.MaxUint64)
 	s.nextMature.Store(math.MaxInt64)
 	s.in.init(ring)
 	s.pool.init(nodePoolSize)
 }
 
-// node is a pending-list node. A hand-rolled list avoids container/list's
+// node is a pending entry. Hand-rolled lists avoid container/list's
 // interface boxing on this hot path.
 type node struct {
 	entry      Entry
-	prev, next *node
+	home       *shard // the shard whose lists and pool the node lives in
+	prev, next *node  // pending-list links, guarded by home.mu
+
+	// state is the entry's dispatchability: the low bits count its unmet
+	// conditions — one per key that is in flight or claimed by an earlier
+	// entry, one while a delay has not matured — and readyBit says its
+	// ready-list link is spoken for. Each condition moves under the lock
+	// of the shard owning it (a key's owner; home for maturity), which
+	// for a cross-shard entry is not one lock, so the word is atomic.
+	state    atomic.Uint32
+	immature bool // on the timer heap; guarded by home.mu
+
+	chain *node // next entry of the band's ready FIFO (see readyList); guarded by home.mu
+	owed  *node // next node whose ready-list link the same goroutine owes (see deferred)
 }
 
-// seqFIFO is an ordered queue of enqueue sequence numbers claiming one
-// key. Sequence numbers are assigned while every involved shard is locked,
-// so claimants of a key serialize on the key's owning shard and push in
-// strictly increasing order: the head is always the earliest pending
-// claim. An entry may dispatch only when it heads the claim queue of every
-// key it carries and none of those keys is in flight — the sharded
-// generalization of the v2 shadow-set scan (which blocked a later entry
-// behind any earlier skipped entry sharing a key), extended so the
-// discipline holds across shards, not just within one scan.
-type seqFIFO struct {
-	buf  []uint64
-	head int
-}
+// readyBit marks a node.state whose ready-list link is made, owed by the
+// goroutine that set it, or held by a dispatch attempt in progress.
+const readyBit = 1 << 31
 
-func (f *seqFIFO) push(seq uint64) { f.buf = append(f.buf, seq) }
-func (f *seqFIFO) peek() uint64    { return f.buf[f.head] }
-func (f *seqFIFO) empty() bool     { return f.head == len(f.buf) }
+// block records that one of n's met conditions no longer holds (a barge
+// entry took a key n had counted free). A ready-linked n stays linked —
+// nothing leaves a ready list from the middle — and the pop that meets it
+// finds the count nonzero and drops the link.
+func (n *node) block() { n.state.Add(1) }
 
-func (f *seqFIFO) pop() uint64 {
-	v := f.buf[f.head]
-	f.head++
-	if f.head == len(f.buf) {
-		f.buf = f.buf[:0]
-		f.head = 0
-	} else if f.head > 64 && f.head*2 >= len(f.buf) {
-		n := copy(f.buf, f.buf[f.head:])
-		f.buf = f.buf[:n]
-		f.head = 0
+// unblock retires one unmet condition of n and reports whether that was
+// the last (ready). If it was and n had no ready-list link, readyBit was
+// set in the same step and the link (made under home.mu) is the caller's
+// to make: nobody else will link n, and — only ready-linked entries
+// dispatch or expire — n cannot leave the queue before the caller has.
+func (n *node) unblock() (ready, link bool) {
+	for {
+		st := n.state.Load()
+		nw := st - 1
+		if nw == 0 {
+			nw = readyBit
+		}
+		if n.state.CompareAndSwap(st, nw) {
+			return nw == readyBit, nw == readyBit && st&readyBit == 0
+		}
 	}
-	return v
+}
+
+// keyRec is the dispatch state of one key on its owning shard, present
+// in shard.keys exactly while the key is in flight or claimed. Sequence
+// numbers are assigned while every involved shard is locked, so
+// claimants of a key join its queue in strictly increasing seq order and
+// the head is always the earliest. A keyed entry may dispatch only when
+// it heads the queue of every key it carries and none of them is in
+// flight; a barge entry waits on the second condition alone.
+type keyRec struct {
+	key        Key
+	owner      uint32 // index of the owning shard
+	inflight   int    // handlers in flight that hold the key
+	head, tail *claim // keyed claimants in enqueue order
+	barge      *claim // barge entries waiting for the key to go idle
+	next       *keyRec
+}
+
+// claim is one entry's stake in one key: its place in the key's claim
+// queue (or barge list) while it waits, its share of the in-flight count
+// from dispatch until Complete or Release. Chained from Entry.claims, so
+// dispatch and completion reach each key's record without a table lookup.
+type claim struct {
+	n    *node   // the waiting entry; nil once it is in flight
+	rec  *keyRec // the key's record on its owning shard
+	next *claim  // next waiter of the key (or next free claim)
+	peer *claim  // next claim of the same entry
+}
+
+// join adds n to k's claim queue, or its barge list, on owning shard s
+// and reports what, if anything, stands between n and k: an in-flight
+// handler, or (for a keyed entry) an earlier claimant. A key the entry
+// names twice is joined once (c == nil the second time). Caller holds
+// s.mu.
+func (s *shard) join(n *node, k Key, barge bool) (c *claim, kind int) {
+	rec := s.keys[k]
+	switch {
+	case rec == nil:
+		if rec = s.freeRecs; rec != nil {
+			s.freeRecs = rec.next
+			rec.next = nil
+		} else {
+			rec = &keyRec{owner: s.idx}
+		}
+		rec.key = k
+		s.keys[k] = rec
+	case barge && rec.barge != nil && rec.barge.n == n, !barge && rec.tail != nil && rec.tail.n == n:
+		return nil, conflictNone
+	}
+	if c = s.freeClaims; c != nil {
+		s.freeClaims = c.next
+		c.next = nil
+	} else {
+		c = new(claim)
+	}
+	c.n, c.rec = n, rec
+	if rec.inflight > 0 {
+		kind = conflictKey
+	}
+	if barge {
+		c.next = rec.barge
+		rec.barge = c
+		return c, kind
+	}
+	if rec.head == nil {
+		rec.head = c
+	} else {
+		rec.tail.next = c
+		if kind == conflictNone {
+			kind = conflictOrder
+		}
+	}
+	rec.tail = c
+	return c, kind
+}
+
+// leave takes waiting claim c off its key: out of the barge list, or off
+// the head of the claim queue.
+func (rec *keyRec) leave(c *claim, barge bool) {
+	if barge {
+		rec.dropBarge(c)
+	} else {
+		rec.popHead(c)
+	}
+}
+
+// popHead removes c, which must head its key's claim queue: entries
+// leave the queues only by dispatching, expiring or merging into a
+// coalesced run, all of which require heading them.
+func (rec *keyRec) popHead(c *claim) {
+	if rec.head != c {
+		panic("pdq: claim queue out of order")
+	}
+	rec.head = c.next
+	if rec.head == nil {
+		rec.tail = nil
+	}
+	c.next = nil
+}
+
+// dropBarge removes c from its key's barge list (barge traffic is sparse
+// control traffic, so the list is short).
+func (rec *keyRec) dropBarge(c *claim) {
+	for p := &rec.barge; *p != nil; p = &(*p).next {
+		if *p == c {
+			*p = c.next
+			c.next = nil
+			return
+		}
+	}
+	panic("pdq: barge claim missing from its key")
+}
+
+// freeClaim recycles a claim that has left its queue and its entry.
+// Caller holds s.mu, s the claim's key owner.
+func (s *shard) freeClaim(c *claim) {
+	*c = claim{next: s.freeClaims}
+	s.freeClaims = c
+}
+
+// reap drops rec from the key table once nothing holds or awaits its
+// key. Caller holds s.mu.
+func (s *shard) reap(rec *keyRec) {
+	if rec.inflight != 0 || rec.head != nil || rec.barge != nil {
+		return
+	}
+	delete(s.keys, rec.key)
+	rec.next = s.freeRecs
+	s.freeRecs = rec
+}
+
+// deferred is what a locked section owes once its shard locks drop (see
+// settle).
+type deferred struct {
+	// owed chains, through node.owed, the nodes whose ready-list link this
+	// goroutine owns (see node.unblock) but could not make, their home
+	// shard's lock not being held. The owner of a link is the only one to
+	// touch that field, so the chain needs no lock — and it is not
+	// node.chain, because a stale link may still be coming off its list
+	// under the home lock when another shard's release takes the new one.
+	owed    *node
+	nready  int       // entries this section made ready, linked or owed: the consumers to wake
+	hold    bool      // owe even the links the held lock allows (CompleteNext takes one itself)
+	expired []Message // expired entries' messages, owed to the dead-letter hook
+}
+
+// unblock retires one unmet condition of n — a key s owns went idle, or n
+// came to head its queue — and, if that was the last, links n ready when
+// it is homed on s and leaves the link to d otherwise: the caller holds
+// s.mu, n may be homed on any shard, and a shard lock's holder never
+// waits for a second one (the shardlock invariant's unblock-propagation
+// rule) — it moves n's atomic count and hands the link on.
+//
+//pdq:crossshard
+func (s *shard) unblock(n *node, d *deferred) {
+	ready, link := n.unblock()
+	if ready {
+		d.nready++
+	}
+	switch {
+	case !link:
+	case n.home == s && !d.hold:
+		s.linkReady(n)
+	default:
+		n.owed, d.owed = d.owed, n
+	}
+}
+
+// linkReady makes n's ready-list link. Caller holds s.mu, s is n's home,
+// and the link is the caller's to make (see node.unblock).
+func (s *shard) linkReady(n *node) {
+	s.ready[n.entry.msg.Priority].push(n)
+}
+
+// settle pays what a locked section left owing in d and retires the n
+// in-flight handlers it resolved: the ready-list links still owed are
+// made, one home shard lock at a time; each expired message goes to the
+// dead-letter hook (its in-flight hold, taken by expire, retires with
+// the rest); and as many consumers wake as entries became ready. Must be
+// called with no shard lock held.
+func (q *Queue) settle(ws *shard, d *deferred, n int) {
+	for nd := d.owed; nd != nil; {
+		next := nd.owed // once linked, nd may dispatch and be recycled
+		nd.owed = nil
+		nd.home.mu.Lock()
+		nd.home.linkReady(nd)
+		nd.home.mu.Unlock()
+		nd = next
+	}
+	for _, m := range d.expired {
+		q.deadLetterMsg(m, ErrExpired)
+	}
+	q.finishInflight(ws, d.nready, n+len(d.expired))
 }
 
 // mix64 is the 64-bit finalizer from MurmurHash3: full-avalanche mixing so
@@ -151,82 +359,23 @@ func (q *Queue) shardOf(k Key) *shard {
 	return &q.shards[q.shardIndex(k)]
 }
 
-// keysMask computes the bit set of shard indexes a key set touches.
-func (q *Queue) keysMask(keys []Key) uint64 {
-	var m uint64
-	for _, k := range keys {
-		m |= 1 << q.shardIndex(k)
-	}
-	return m
-}
-
-// pushClaim appends seq to k's claim queue. Caller holds s.mu and s owns k.
-func (s *shard) pushClaim(k Key, seq uint64) {
-	f := s.claims[k]
-	if f == nil {
-		if n := len(s.fifoPool); n > 0 {
-			f = s.fifoPool[n-1]
-			s.fifoPool = s.fifoPool[:n-1]
-		} else {
-			f = &seqFIFO{}
-		}
-		s.claims[k] = f
-	}
-	f.push(seq)
-}
-
-// popClaim removes the head claim for k, which must be seq (the dispatch
-// path only pops after verifying the entry heads every claim queue).
-func (s *shard) popClaim(k Key, seq uint64) {
-	f := s.claims[k]
-	if f == nil || f.pop() != seq {
-		panic("pdq: claim queue out of order")
-	}
-	if f.empty() {
-		delete(s.claims, k)
-		// Pool the queue for reuse unless a burst grew its buffer past the
-		// cap — pooling that would pin the burst-sized allocation forever.
-		if len(s.fifoPool) < 64 && cap(f.buf) <= maxPooledClaimCap {
-			s.fifoPool = append(s.fifoPool, f)
-		}
-	}
-}
-
-// maxPooledClaimCap bounds the buffer capacity of a claim queue eligible
-// for s.fifoPool.
-const maxPooledClaimCap = 1024
-
-// removeClaim deletes seq from k's claim queue wherever it sits — the
-// expiry path's analogue of popClaim, which only serves the head (an
-// expired entry may still be queued behind earlier claimants). Caller
-// holds s.mu and s owns k.
-func (s *shard) removeClaim(k Key, seq uint64) {
-	f := s.claims[k]
-	if f == nil {
-		panic("pdq: claim removal for unclaimed key")
-	}
-	if f.peek() == seq {
-		s.popClaim(k, seq)
-		return
-	}
-	for i := f.head + 1; i < len(f.buf); i++ {
-		if f.buf[i] == seq {
-			f.buf = append(f.buf[:i], f.buf[i+1:]...)
-			return
-		}
-	}
-	panic("pdq: claim removal for absent sequence")
-}
+// Why an entry waits on a key (join), for the admission counters.
+const (
+	conflictNone  = iota
+	conflictKey   // the key is in flight
+	conflictOrder // an earlier enqueued entry claims the key
+)
 
 // admitNode gives n, homed on s, its place in the queue — the admission
 // tail shared by the mutex path and the intake-ring drain. It fetches
-// the entry's global sequence number, registers its key claims on their
-// owning shards, and links it into its priority band, or, for a
-// scheduled entry, into the delayed list and timer heap. Caller holds
-// the lock of every shard in the entry's smask across the call, so each
-// per-key claim queue is pushed in strictly increasing seq order — the
-// property the whole cross-shard FIFO discipline rests on — and each
-// pending list stays seq-ascending.
+// the entry's global sequence number, joins the claim queue (or barge
+// list) of every key on its owning shard, counts the conditions the
+// entry still waits on, and links it into the pending list — and, when
+// it waits on nothing, into its band's ready list. Caller holds the lock
+// of every shard in the entry's smask across the call, so each claim
+// queue is joined in strictly increasing seq order — the property the
+// whole cross-shard FIFO discipline rests on — and the pending list
+// stays seq-ascending.
 //
 // ring is true when the entry arrived through the intake ring: its
 // producer already added it to npending at admission time (the count is
@@ -237,18 +386,33 @@ func (q *Queue) admitNode(s *shard, n *node, ring bool) {
 	e := &n.entry
 	m := &e.msg
 	e.seq = q.nextSeq.Add(1)
-	claims := m.Mode != ModeBarge && len(m.Keys) > 0
-	if claims {
-		// Barge entries never join the claim queues: their whole point is
-		// acquisition by key availability alone, outside enqueue order.
-		local := e.smask == 1<<s.idx
-		for _, k := range m.Keys {
-			o := s
-			if !local {
-				o = q.shardOf(k)
-			}
-			o.pushClaim(k, e.seq)
+	barge := m.Mode == ModeBarge
+	local := e.smask == 1<<s.idx
+	var unmet uint32
+	kind := conflictNone
+	for _, k := range m.Keys {
+		o := s
+		if !local {
+			o = q.shardOf(k)
 		}
+		c, why := o.join(n, k, barge)
+		if c == nil {
+			continue
+		}
+		c.peer = e.claims
+		e.claims = c
+		if why != conflictNone {
+			unmet++
+			if why == conflictKey || kind == conflictNone {
+				kind = why
+			}
+		}
+	}
+	switch kind {
+	case conflictKey:
+		s.stats.keyConflicts++
+	case conflictOrder:
+		s.stats.orderConflicts++
 	}
 	if t := s.tr; t != nil && m.TraceID != 0 {
 		kind := TraceEnqueue
@@ -256,29 +420,33 @@ func (q *Queue) admitNode(s *shard, n *node, ring bool) {
 			kind = TraceRingDrain
 		}
 		t.record(s.idx, m.TraceID, kind, e.seq, 0)
-		if claims {
+		if !barge && len(m.Keys) > 0 {
 			t.record(s.idx, m.TraceID, TraceClaimJoin, e.seq, int64(len(m.Keys)))
 		}
 	}
 	if e.notBefore != 0 {
-		// Scheduled delivery: park on the home shard's timer heap (by
-		// maturity) and delayed list (by seq, so the shard's minimum
-		// pending seq — which gates Sequential barriers — still covers
-		// it). Claims stay registered, so the entry keeps its per-key
-		// queue position while it sleeps. An already-ripe NotBefore still
-		// takes this path — the next scan's matureRipe promotes it in the
-		// same pass, and routing by the option rather than by a clock read
-		// keeps the delayed counter deterministic across the mutex and
-		// intake-ring admission paths (the ring links later than it
-		// admits).
-		if s.delayed.append(n) {
-			s.updateMinSeq()
-		}
-		s.timers.push(n)
+		// Scheduled delivery: maturity is one more condition, retired by
+		// matureRipe. The entry keeps its claim-queue positions while it
+		// sleeps, and its place in the pending list keeps the shard's
+		// minimum pending seq — which gates Sequential barriers — covering
+		// it. An already-ripe NotBefore still takes this path (the next
+		// harvest's matureRipe retires it at once): routing by the option
+		// rather than by a clock read keeps the delayed counter the same
+		// on the mutex and intake-ring admission paths.
+		unmet++
+		n.immature = true
+		s.timers.push(e.notBefore, n)
 		s.nextMature.Store(s.timers.nextMature())
 		s.stats.delayed++
-	} else if s.bands[m.Priority].append(n) {
+	}
+	if s.pending.append(n) {
 		s.updateMinSeq()
+	}
+	if unmet == 0 {
+		n.state.Store(readyBit)
+		s.linkReady(n)
+	} else {
+		n.state.Store(unmet)
 	}
 	var p int64
 	if ring {
@@ -292,9 +460,9 @@ func (q *Queue) admitNode(s *shard, n *node, ring bool) {
 	s.stats.enqueued++
 }
 
-// unlink removes n from its band's pending list. Caller holds s.mu.
+// unlink removes n from the pending list. Caller holds s.mu.
 func (s *shard) unlink(n *node) {
-	if s.bands[n.entry.msg.Priority].remove(n) {
+	if s.pending.remove(n) {
 		s.updateMinSeq()
 	}
 	s.npending.Add(-1)
@@ -302,121 +470,81 @@ func (s *shard) unlink(n *node) {
 
 func (s *shard) recycle(n *node) { s.pool.put(n) }
 
-// releaseKeys decrements the in-flight count of every key in keys on the
-// shards named by mask — the inverse of the acquisition the dispatch path
-// performed. It is shared by the Complete and Release paths: both free
-// key state identically; they differ only in where the entry goes next.
-func (q *Queue) releaseKeys(mask uint64, keys []Key) {
-	for m := mask; m != 0; {
+// releaseKeys gives back e's share of the in-flight count of every key it
+// holds, one owning shard's lock at a time — the inverse of acquire,
+// shared by the Complete and Release paths: both free key state
+// identically; they differ only in where the entry goes next. Each key
+// that goes idle unblocks the entries waiting on it (see shard.unblock);
+// d collects the ready-list links left to make.
+func (q *Queue) releaseKeys(e *Entry, d *deferred) {
+	if e.claims == nil {
+		panic("pdq: Complete/Release for key with no in-flight handler")
+	}
+	for m := e.smask; m != 0; {
 		i := bits.TrailingZeros64(m)
 		m &^= 1 << i
 		s := &q.shards[i]
 		s.mu.Lock()
-		ok := s.releaseOwned(q, keys)
+		s.releaseOwned(e, d)
 		s.mu.Unlock()
-		if !ok {
-			panic("pdq: Complete/Release for key with no in-flight handler")
-		}
 	}
 }
 
-// releaseOwned decrements the in-flight count of every key in keys that
-// s owns. Caller holds s.mu. It reports false on a key with no in-flight
-// handler (an invariant violation the caller must turn into a panic —
-// after unlocking, so a recovering caller is not left holding the lock).
-func (s *shard) releaseOwned(q *Queue, keys []Key) bool {
-	for _, k := range keys {
-		if q.shardIndex(k) != s.idx {
+// releaseOwned releases the claims of e on keys s owns, unchaining them
+// from e as it goes (a freed claim may be reused at once by an admission
+// on s, so a later shard's pass must not walk through it). A key whose
+// in-flight count reaches zero is idle: its claim queue's head and every
+// barge entry waiting on it lose that condition. Caller holds s.mu.
+//
+//pdq:crossshard — the entries it unblocks may be homed on any shard.
+func (s *shard) releaseOwned(e *Entry, d *deferred) {
+	for p := &e.claims; *p != nil; {
+		c := *p
+		rec := c.rec
+		if rec.owner != s.idx {
+			p = &c.peer
 			continue
 		}
-		c := s.inflight[k]
-		if c <= 0 {
-			return false
-		}
-		if c == 1 {
-			delete(s.inflight, k)
-		} else {
-			s.inflight[k] = c - 1
-		}
-	}
-	return true
-}
-
-// Conflict kinds returned by the claim checks.
-const (
-	conflictNone  = iota
-	conflictKey   // an overlapping key is in flight
-	conflictOrder // an earlier enqueued entry claims an overlapping key
-)
-
-// conflict checks an entry's keys against s's in-flight and claim state,
-// key by key in slice order: an in-flight key counts as a key conflict,
-// an earlier claim as an order conflict. all=true checks every key
-// (entries homed wholly on s); otherwise only the keys s owns are
-// examined (one shard's share of a cross-shard entry).
-//
-// acquired is the in-batch exception: the keys taken by earlier entries
-// of the harvest in progress (nil outside a batch and for cross-shard
-// entries — foreign shards know nothing of the batch). A key held in
-// flight only by such an entry is not a conflict, because batch order
-// serializes the two on the executing goroutine. The claim-queue head
-// check needs no exception — earlier batch entries popped their claims
-// at harvest, so heading every claim queue *after* those pops is exactly
-// the required order condition.
-//
-// barge=true (ModeBarge entries) waives the claim-order condition — such
-// entries hold no claim-queue position and acquire on key availability
-// alone — but forgoes the in-batch exception: a barge handler may park
-// its keys past the batch (that is its use), so batch-order
-// serialization cannot stand in for a free key. Caller holds s.mu.
-func (s *shard) conflict(q *Queue, keys []Key, seq uint64, acquired []Key, all, barge bool) int {
-	for _, k := range keys {
-		if !all && q.shardIndex(k) != s.idx {
+		*p = c.peer
+		s.freeClaim(c)
+		if rec.inflight--; rec.inflight > 0 {
 			continue
 		}
-		if s.inflight[k] > 0 && (barge || !keyIn(acquired, k)) {
-			return conflictKey
+		if h := rec.head; h != nil {
+			s.unblock(h.n, d)
 		}
-		if !barge && s.claims[k].peek() != seq {
-			return conflictOrder
+		for b := rec.barge; b != nil; b = b.next {
+			s.unblock(b.n, d)
 		}
+		s.reap(rec)
 	}
-	return conflictNone
 }
 
-// keyIn reports whether k was acquired earlier in the batch. Batches are
-// small (bounded by max and the search window), so a linear scan beats a
-// map here.
-func keyIn(acquired []Key, k Key) bool {
-	for _, a := range acquired {
-		if a == k {
-			return true
-		}
-	}
-	return false
-}
-
-// acquire takes the pending entry of n, homed on s and found free of
-// conflicts, into flight: every key's in-flight count rises and its
-// claim pops on the owning shard (a keyless or nosync entry has no keys;
-// a barge entry has no claims to pop), the entry leaves its pending
-// list, and its capacity slot returns. inflightAll rises BEFORE the
-// unlink drops npending — the order isIdle's reads depend on. Caller
-// holds s.mu and, for a cross-shard entry, the lock of every other
-// shard in its smask.
+// acquire takes ready entry n, homed on s, into flight: each claim
+// leaves its queue and becomes a share of its key's in-flight count, the
+// entry leaves the pending list, and its capacity slot returns. A key
+// going from idle to held is a condition lost by the other entries that
+// had counted it free: the barge entries waiting on it and, when the
+// taker is itself a barge entry, the claim queue's head. inflightAll
+// rises BEFORE the unlink drops npending — the order isIdle's reads
+// depend on. Caller holds the lock of every shard in the entry's smask
+// and has taken n off the ready list.
 func (q *Queue) acquire(s *shard, n *node) {
 	e := &n.entry
-	local := e.smask == 1<<s.idx
 	barge := e.msg.Mode == ModeBarge
 	q.inflightAll.Add(1)
-	for _, k := range e.msg.Keys {
-		o := s
-		if !local {
-			o = q.shardOf(k)
+	for c := e.claims; c != nil; c = c.peer {
+		rec := c.rec
+		c.n = nil
+		rec.leave(c, barge)
+		if rec.inflight++; rec.inflight > 1 {
+			continue // held already, by an earlier entry of this batch
 		}
-		o.inflight[k]++
-		if !barge {
-			o.popClaim(k, e.seq)
+		for b := rec.barge; b != nil; b = b.next {
+			b.n.block()
+		}
+		if barge && rec.head != nil {
+			rec.head.n.block()
 		}
 	}
 	s.unlink(n)
@@ -431,42 +559,7 @@ func (q *Queue) acquire(s *shard, n *node) {
 	if len(e.msg.Keys) > 1 {
 		s.stats.multiKeyDispatched++
 	}
-	if !local {
+	if e.smask != 1<<s.idx {
 		q.g.crossShard.Add(1)
 	}
-}
-
-// tryDispatchCross attempts to dispatch a cross-shard entry homed on s
-// (s.mu held). Foreign shards are TryLock'd — never blocked on while
-// holding s.mu — so lock contention aborts with retry=true instead of
-// risking an ABBA deadlock; the consumer rescans. On conflictNone every
-// key is acquired on its owning shard and the entry is unlinked from s.
-//
-//pdq:crossshard
-func (q *Queue) tryDispatchCross(s *shard, n *node) (kind int, retry bool) {
-	e := &n.entry
-	barge := e.msg.Mode == ModeBarge
-	// Cheap local pre-check before touching other shards.
-	if kind := s.conflict(q, e.msg.Keys, e.seq, nil, false, barge); kind != conflictNone {
-		return kind, false
-	}
-	var locked uint64
-	defer func() { q.unlockMask(locked) }()
-	for m := e.smask &^ (1 << s.idx); m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << i
-		if !q.shards[i].mu.TryLock() {
-			return conflictNone, true
-		}
-		locked |= 1 << i
-	}
-	for m := locked; m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << i
-		if kind := q.shards[i].conflict(q, e.msg.Keys, e.seq, nil, false, barge); kind != conflictNone {
-			return kind, false
-		}
-	}
-	q.acquire(s, n)
-	return conflictNone, false
 }

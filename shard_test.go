@@ -216,7 +216,7 @@ func TestShardedStatsBalance(t *testing.T) {
 	f := func(seed int64, rawWorkers, rawShards uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		shards := 1 << (rawShards % 4)
-		q := New(WithShards(shards), WithSearchWindow(1+r.Intn(32)))
+		q := New(WithShards(shards))
 		script := genScript(r, 80)
 		for _, op := range script {
 			var err error
@@ -254,7 +254,7 @@ func TestPropertyInvariantsSharded(t *testing.T) {
 		workers := int(rawWorkers%8) + 1
 		shards := 1 << (rawShards%3 + 1) // 2, 4, 8
 		script := genScript(r, 120)
-		return runScript(t, script, workers, DefaultSearchWindow, WithShards(shards))
+		return runScript(t, script, workers, WithShards(shards))
 	}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)

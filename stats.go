@@ -124,11 +124,11 @@ type Stats struct {
 	NoSyncDispatched   uint64 `json:"nosync_dispatched"`   // nosync entries dispatched
 	BargeDispatched    uint64 `json:"barge_dispatched"`    // barge entries dispatched (out-of-band key acquisitions)
 	MultiKeyDispatched uint64 `json:"multikey_dispatched"` // entries with two or more keys dispatched
-	KeyConflicts       uint64 `json:"key_conflicts"`       // scan skips due to an in-flight overlapping key
-	OrderConflicts     uint64 `json:"order_conflicts"`     // scan skips preserving enqueue order behind an earlier overlapping claim
+	KeyConflicts       uint64 `json:"key_conflicts"`       // entries admitted behind an in-flight handler on one of their keys (counted once, at admission)
+	OrderConflicts     uint64 `json:"order_conflicts"`     // entries admitted behind an earlier claimant of one of their keys and no in-flight handler (counted once, at admission)
 	SeqStalls          uint64 `json:"seq_stalls"`          // dispatch attempts stopped by a pending sequential barrier
 	BarrierStalls      uint64 `json:"barrier_stalls"`      // dequeue attempts while a sequential handler ran
-	WindowStalls       uint64 `json:"window_stalls"`       // scans exhausting a shard's search window
+	WindowStalls       uint64 `json:"window_stalls"`       // retired: always 0 (dispatch pops a ready list; there is no search window to exhaust)
 	Waits              uint64 `json:"waits"`               // blocking dequeue sleeps
 	EnqueueWaits       uint64 `json:"enqueue_waits"`       // EnqueueWait sleeps for capacity
 	CrossShard         uint64 `json:"cross_shard"`         // dispatched entries whose key set spanned shards
@@ -151,7 +151,7 @@ type Stats struct {
 	RingPublished      uint64 `json:"ring_published"`      // lock-free intake-ring publishes
 	RingFallbacks      uint64 `json:"ring_fallbacks"`      // ring-full publishes completed under the shard lock
 	RingSpins          uint64 `json:"ring_spins"`          // producer spin iterations waiting for ring space
-	RingMaxOccupancy   int    `json:"ring_max_occupancy"`  // deepest intake-ring backlog met by a drain (max across shards)
+	RingMaxOccupancy   int    `json:"ring_max_occupancy"`  // most intake-ring slots a drain found occupied (max across shards; at most intake_ring)
 	NodesReclaimed     uint64 `json:"nodes_reclaimed"`     // pending-list nodes recycled through the epoch pools
 	NodesCapped        uint64 `json:"nodes_capped"`        // nodes dropped to the GC because an epoch pool was full
 	TraceSampled       uint64 `json:"trace_sampled"`       // admissions elected for lifecycle tracing (WithTrace)
@@ -186,7 +186,6 @@ func (q *Queue) Stats() Stats {
 		s.MultiKeyDispatched += c.multiKeyDispatched
 		s.KeyConflicts += c.keyConflicts
 		s.OrderConflicts += c.orderConflicts
-		s.WindowStalls += c.windowStalls
 		s.MaxPending += c.maxPending
 		s.Batches += c.batches
 		s.BatchEntries += c.batchEntries

@@ -51,7 +51,7 @@ const (
 	TraceRingDrain                         // intake-ring entry drained, sequence number assigned
 	TraceClaimJoin                         // joined its keys' claim FIFOs; Arg = key count
 	TraceMature                            // delayed entry reached its NotBefore instant
-	TraceDispatch                          // credit dispatch from a band scan or harvest; Arg = band
+	TraceDispatch                          // credit dispatch from a harvest or handoff; Arg = band
 	TraceHarvest                           // taken into a batch harvest; Arg = position in the batch
 	TraceCoalesce                          // merged into a representative entry; Arg = run position
 	TraceHandlerStart                      // handler invocation began
