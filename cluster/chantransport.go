@@ -89,11 +89,14 @@ type chanDelivery struct {
 // mailbox is an unbounded FIFO drained by a dedicated goroutine. An
 // unbounded queue (rather than a channel) keeps Send non-blocking even
 // when a receive callback fans out more sends, so transport back-pressure
-// can never deadlock the session layer.
+// can never deadlock the session layer. The drain goroutine swaps queue
+// with spare, the batch it delivered last, so a steady stream fills two
+// backing arrays in turn instead of growing a fresh one per batch.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []chanDelivery
+	spare  []chanDelivery // empty; touched only by the drain goroutine
 	closed bool
 	done   chan struct{}
 }
@@ -104,10 +107,10 @@ func newMailbox() *mailbox {
 	return b
 }
 
-func (b *mailbox) put(d chanDelivery) {
+func (b *mailbox) put(from int, m *WireMsg) {
 	b.mu.Lock()
 	if !b.closed {
-		b.queue = append(b.queue, d)
+		b.queue = append(b.queue, chanDelivery{from, *m})
 		b.cond.Signal()
 	}
 	b.mu.Unlock()
@@ -157,12 +160,14 @@ func (t *ChanTransport) drain(i int) {
 			return
 		}
 		batch := b.queue
-		b.queue = nil
+		b.queue = b.spare
 		b.mu.Unlock()
 		recv := t.recv[i]
-		for _, d := range batch {
-			recv(d.from, d.m)
+		for j := range batch {
+			recv(batch[j].from, batch[j].m)
 		}
+		clear(batch) // delivered payloads must not stay reachable from the spare
+		b.spare = batch[:0]
 	}
 }
 
@@ -175,6 +180,10 @@ func (t *ChanTransport) Bind(node int, recv func(from int, m WireMsg)) {
 // Send delivers m best-effort, applying the configured loss, duplication,
 // and delay. It never blocks on the receiver.
 func (t *ChanTransport) Send(from, to int, m WireMsg) {
+	if t.cfg.loss == 0 && t.cfg.dup == 0 && t.cfg.delay == 0 {
+		t.boxes[to].put(from, &m) // nothing to draw: no lock, no RNG
+		return
+	}
 	copies := 1
 	var drop1, drop2 bool
 	var d1, d2 time.Duration
@@ -190,22 +199,22 @@ func (t *ChanTransport) Send(from, to int, m WireMsg) {
 	}
 	t.rngMu.Unlock()
 	if !drop1 {
-		t.deliver(to, chanDelivery{from, m}, d1)
+		t.deliver(from, to, m, d1)
 	}
 	if copies == 2 && !drop2 {
-		t.deliver(to, chanDelivery{from, m}, d2)
+		t.deliver(from, to, m, d2)
 	}
 }
 
-func (t *ChanTransport) deliver(to int, d chanDelivery, after time.Duration) {
+func (t *ChanTransport) deliver(from, to int, m WireMsg, after time.Duration) {
 	if after <= 0 {
-		t.boxes[to].put(d)
+		t.boxes[to].put(from, &m)
 		return
 	}
 	t.timers.Add(1)
 	time.AfterFunc(after, func() {
 		defer t.timers.Done()
-		t.boxes[to].put(d)
+		t.boxes[to].put(from, &m)
 	})
 }
 

@@ -42,24 +42,30 @@
 // # Delivery guarantee: at-least-once transport, effect-once dispatch
 //
 // The Transport may drop, duplicate, delay, or reorder. On top of it every
-// node pair runs a session: sequenced messages, unsequenced acks, timeout
-// retransmission of unacked messages (at-least-once), and a receiver-side
-// reorder/dedup window that admits each sequence number exactly once, in
-// order. A lost message is retransmitted until acked; a lost ack causes a
-// retransmission the receiver drops as a duplicate and re-acks — so a
-// forwarded entry is admitted exactly once, and a redelivery can never
-// double-execute a handler or wedge a key. Handler failures compose with
-// the node queues' pdq lifecycle: WithRetry re-runs, WithDeadLetter
-// receives terminal failures (a spanning op retries in place, holding its
-// claims, for the same budget). There is no node-failure model: membership
-// is fixed and a node's memory is as durable as the process — the tier
-// distributes dispatch, not persistence.
+// node pair runs a sliding-window session: sequenced messages; a cumulative
+// ack ("everything up to n, processed in order") riding on every message
+// going the other way, or sent alone every 32nd receipt, on a short tick,
+// and at once on a duplicate or a gap; retransmission of the oldest unacked
+// message on a timeout that tracks the measured round trip (at-least-once);
+// and a receiver that processes in-order arrivals directly, holds what
+// arrives beyond a hole, and drops what it has seen. A lost message is
+// retransmitted until acked; a lost ack is covered by the next one, or
+// causes a retransmission the receiver drops and re-acks — so a forwarded
+// entry is admitted exactly once, and a redelivery can never double-execute
+// a handler or wedge a key. Handler failures compose with the node queues'
+// pdq lifecycle: WithRetry re-runs, WithDeadLetter receives terminal
+// failures (a spanning op retries in place, holding its claims, for the
+// same budget). There is no node-failure model: membership is fixed and a
+// node's memory is as durable as the process — the tier distributes
+// dispatch, not persistence.
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,7 +89,9 @@ type config struct {
 	workers   int
 	vnodes    int
 	retry     int
-	rto       time.Duration
+	rto       time.Duration // initial retransmit timeout and its floor
+	maxRTO    time.Duration // backoff ceiling: 64x rto, at most 1s
+	tick      time.Duration // session tick, rto/4: bounds how long an ack is delayed
 	dead      func(node int, m pdq.Message, err error)
 	qopts     []pdq.Option
 	transport Transport
@@ -147,11 +155,11 @@ func WithQueueOptions(opts ...pdq.Option) Option {
 	return func(c *config) { c.qopts = append(c.qopts, opts...) }
 }
 
-// WithRetransmitTimeout sets how long a sequenced message stays unacked
-// before the session retransmits it (default 10ms; minimum 1ms). Lower
-// values repair loss faster at the cost of more duplicate traffic when
-// acks are merely slow. Per message the interval doubles on every resend
-// (capped at 64x, at most 1s), so a slow-but-reliable path backs off
+// WithRetransmitTimeout sets the initial value and the floor of the
+// timeout after which a session retransmits its oldest unacked message
+// (default 10ms; minimum 1ms). Above the floor the timeout follows the
+// measured round trip, and it doubles on every resend (capped at 64x, at
+// most 1s) until an ack arrives, so a slow-but-reliable path backs off
 // instead of compounding its own congestion.
 func WithRetransmitTimeout(d time.Duration) Option {
 	return func(c *config) {
@@ -171,7 +179,7 @@ type Cluster struct {
 	nodes []*node
 
 	hmu      sync.RWMutex
-	handlers map[string]func(any)
+	handlers map[string]handler
 
 	cancel context.CancelFunc
 	wg     sync.WaitGroup
@@ -194,6 +202,8 @@ func New(n int, opts ...Option) (*Cluster, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
+	cfg.maxRTO = max(cfg.rto, min(64*cfg.rto, time.Second))
+	cfg.tick = cfg.rto / 4
 	if cfg.transport == nil {
 		cfg.transport = NewChanTransport(n)
 	}
@@ -205,7 +215,7 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		ring:     newRing(n, cfg.vnodes),
 		tr:       cfg.transport,
 		nodes:    make([]*node, n),
-		handlers: make(map[string]func(any)),
+		handlers: make(map[string]handler),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c.cancel = cancel
@@ -215,7 +225,7 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		c.nodes[i] = nd
 		c.tr.Bind(i, nd.recv)
 	}
-	// Workers and retransmit loops start only after every node is bound,
+	// Workers and session ticks start only after every node is bound,
 	// so no traffic can reach an unbound receiver.
 	for _, nd := range c.nodes {
 		for w := 0; w < cfg.workers; w++ {
@@ -228,7 +238,7 @@ func New(n int, opts ...Option) (*Cluster, error) {
 		c.wg.Add(1)
 		go func(nd *node) {
 			defer c.wg.Done()
-			nd.retransmit(ctx, cfg.rto)
+			nd.sessions(ctx)
 		}(nd)
 	}
 	return c, nil
@@ -246,16 +256,32 @@ func (c *Cluster) Register(name string, h func(data any)) error {
 	if _, dup := c.handlers[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDupHandler, name)
 	}
-	c.handlers[name] = h
+	counted := make(handler, len(c.nodes))
+	for i, n := range c.nodes {
+		executed := &n.executed
+		counted[i] = func(d any) {
+			h(d)
+			executed.Add(1)
+		}
+	}
+	c.handlers[name] = counted
 	return nil
 }
 
-// handler resolves a registered handler, nil when unknown.
-func (c *Cluster) handler(name string) func(any) {
+// handler is a registered handler as each node runs it: handler[i] calls
+// the user's function, then counts the execution at node i. Built once at
+// Register, so admitting a message allocates no closure.
+type handler []func(any)
+
+// handler resolves a registered handler.
+func (c *Cluster) handler(name string) (handler, error) {
 	c.hmu.RLock()
 	h := c.handlers[name]
 	c.hmu.RUnlock()
-	return h
+	if h == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownHandler, name)
+	}
+	return h, nil
 }
 
 // Enqueue admits a logical message at node origin: handler (a Register
@@ -271,10 +297,11 @@ func (c *Cluster) Enqueue(origin int, handler string, data any, keys ...pdq.Key)
 	if origin < 0 || origin >= len(c.nodes) {
 		return fmt.Errorf("%w: %d", ErrBadNode, origin)
 	}
-	if c.handler(handler) == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownHandler, handler)
+	h, err := c.handler(handler)
+	if err != nil {
+		return err
 	}
-	return c.nodes[origin].route(handler, data, keys)
+	return c.nodes[origin].route(handler, h, data, keys)
 }
 
 // Owner returns the node owning key k on the ownership ring.
@@ -309,58 +336,36 @@ func (c *Cluster) TraceSnapshot() []pdq.TraceEvent {
 	return evs
 }
 
-// homeOf returns the home node of a hash-sorted key set and whether the
-// set spans multiple owners. The home is the owner of the lowest-hashing
-// key — the first group acquired, so a spanning op's first claim is
-// usually a local enqueue.
-func (c *Cluster) homeOf(sorted []pdq.Key) (home int, spans bool) {
-	home = c.ring.owner(sorted[0])
-	for _, k := range sorted[1:] {
-		if c.ring.owner(k) != home {
-			return home, true
-		}
-	}
-	return home, false
-}
-
 // deadLetter invokes the cluster dead-letter policy.
 func (c *Cluster) deadLetter(node int, m pdq.Message, err error) {
 	c.cfg.dead(node, m, err)
 }
 
 // sortKeys copies keys into global hash order, dropping duplicates: the
-// canonical acquisition order every node agrees on.
+// canonical acquisition order every node agrees on. Key sets are one or
+// two keys in practice; the generic sort insertion-sorts small inputs in
+// place, with no reflection swapper and no allocation.
 func sortKeys(keys []pdq.Key) []pdq.Key {
-	out := append([]pdq.Key(nil), keys...)
-	sort.Slice(out, func(i, j int) bool {
-		hi, hj := keyHash(out[i]), keyHash(out[j])
-		if hi != hj {
-			return hi < hj
-		}
-		return out[i] < out[j]
+	out := slices.Clone(keys)
+	slices.SortFunc(out, func(a, b pdq.Key) int {
+		return cmp.Or(cmp.Compare(keyHash(a), keyHash(b)), cmp.Compare(a, b))
 	})
-	w := 0
-	for i, k := range out {
-		if i == 0 || k != out[w-1] {
-			out[w] = k
-			w++
-		}
-	}
-	return out[:w]
+	return slices.Compact(out)
 }
 
 // groupByOwner splits a hash-sorted key set into consecutive same-owner
-// runs — the claim groups a spanning op acquires in order.
+// runs — the claim groups a spanning op acquires in order. The groups
+// alias sorted rather than copy it.
 func groupByOwner(r *ring, sorted []pdq.Key) []claimGroup {
 	var groups []claimGroup
-	for _, k := range sorted {
+	for i, k := range sorted {
 		o := r.owner(k)
-		if len(groups) > 0 && groups[len(groups)-1].owner == o {
-			g := &groups[len(groups)-1]
-			g.keys = append(g.keys, k)
+		if n := len(groups); n > 0 && groups[n-1].owner == o {
+			g := &groups[n-1]
+			g.keys = sorted[i-len(g.keys) : i+1]
 			continue
 		}
-		groups = append(groups, claimGroup{owner: o, keys: []pdq.Key{k}})
+		groups = append(groups, claimGroup{owner: o, keys: sorted[i : i+1]})
 	}
 	return groups
 }
@@ -373,6 +378,8 @@ func groupByOwner(r *ring, sorted []pdq.Key) []claimGroup {
 func (c *Cluster) Quiesce(ctx context.Context) error {
 	var prev uint64
 	stable := false
+	poll := time.NewTicker(500 * time.Microsecond)
+	defer poll.Stop()
 	for {
 		if c.quietPass() {
 			act := c.activity()
@@ -386,7 +393,7 @@ func (c *Cluster) Quiesce(ctx context.Context) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-time.After(500 * time.Microsecond):
+		case <-poll.C:
 		}
 	}
 }

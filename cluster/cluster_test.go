@@ -12,7 +12,7 @@ import (
 
 // keyOwnedBy scans for a key the ring assigns to node, starting at from
 // so callers can find several distinct keys.
-func keyOwnedBy(t *testing.T, c *Cluster, node int, from pdq.Key) pdq.Key {
+func keyOwnedBy(t testing.TB, c *Cluster, node int, from pdq.Key) pdq.Key {
 	t.Helper()
 	for k := from; k < from+100000; k++ {
 		if c.Owner(k) == node {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"fmt"
 	"log"
 	"runtime/debug"
 	"sync"
@@ -60,25 +59,37 @@ type spanOp struct {
 	local  []*pdq.Entry // parked claim entries for home-owned groups
 }
 
-// txPeer is the sender half of the reliable session to one peer.
+// txPeer is the sender half of the reliable session to one peer. win holds
+// the unacked messages contiguously: win.at(i) carries sequence
+// nextSeq-win.len()+1+i, and a cumulative ack pops the front. rto follows
+// RFC 6298: max(floor, srtt+4*rttvar), doubled per timeout until progress.
 type txPeer struct {
-	nextSeq uint64
-	unacked map[uint64]unackedMsg
+	nextSeq      uint64 // last sequence assigned
+	win          window[sentMsg]
+	srtt, rttvar time.Duration // seeded with the floor and 0, so rto starts at the floor
+	rto          time.Duration
 }
 
-type unackedMsg struct {
-	m   WireMsg
-	at  int64         // last transmission, in retransmission-clock nanos (clock.go)
-	rto time.Duration // current retransmit interval, doubled per resend
+type sentMsg struct {
+	m      WireMsg
+	at     int64 // last transmission, in retransmission-clock nanos (clock.go)
+	resent bool  // Karn's rule: its ack yields no RTT sample
 }
 
-// rxPeer is the receiver half: in-order delivery with a reorder/dedup
-// window. next is the lowest sequence not yet processed; anything below it
-// is a duplicate, anything above is buffered until the gap fills.
+// rxPeer is the receiver half. next is the lowest sequence not yet
+// processed; anything below it is a duplicate. gap is empty while arrivals
+// are in order; behind a hole, gap.at(i) is the slot of sequence next+i (a
+// zero Kind marks a hole, slot 0 is one) and the last slot is filled. owed
+// counts receipts since an ack, piggybacked or not, last left for the peer.
 type rxPeer struct {
-	next     uint64
-	buffered map[uint64]WireMsg
+	next uint64
+	gap  window[WireMsg]
+	owed int
 }
+
+// ackEvery is how many receipts may be owed an ack before a standalone one
+// is sent; fewer wait for a message going the other way or for the tick.
+const ackEvery = 32
 
 // node is one cluster member: a node-local pdq.Queue, its worker
 // goroutines, the session state to every peer, and the claim tables.
@@ -123,9 +134,8 @@ func (n *node) init(c *Cluster, id, nodes int) {
 	n.tx = make([]txPeer, nodes)
 	n.rx = make([]rxPeer, nodes)
 	for i := range n.tx {
-		n.tx[i].unacked = make(map[uint64]unackedMsg)
+		n.tx[i].srtt, n.tx[i].rto = c.cfg.rto, c.cfg.rto
 		n.rx[i].next = 1
-		n.rx[i].buffered = make(map[uint64]WireMsg)
 	}
 	n.ops = make(map[uint64]*spanOp)
 	n.parked = make(map[claimKey][]*pdq.Entry)
@@ -133,25 +143,34 @@ func (n *node) init(c *Cluster, id, nodes int) {
 
 // route admits a logical message at its origin node: straight into the
 // local queue when this node owns every key, forwarded whole to the owner
-// or home otherwise.
-func (n *node) route(name string, data any, keys []pdq.Key) error {
-	if len(keys) == 0 {
-		n.local.Add(1)
-		return n.enqueueLocal(name, data, nil, 0)
-	}
-	sorted := sortKeys(keys)
-	home, spans := n.c.homeOf(sorted)
-	if !spans && home == n.id {
-		n.local.Add(1)
-		return n.enqueueLocal(name, data, sorted, 0)
+// or home otherwise. Owners are resolved once here and, for a forwarded
+// multi-key set, once more at the home; a single key cannot span.
+func (n *node) route(name string, h handler, data any, keys []pdq.Key) error {
+	home := n.id
+	var groups []claimGroup
+	if len(keys) == 1 {
+		home = n.c.ring.owner(keys[0])
+	} else if len(keys) > 1 {
+		keys = sortKeys(keys)
+		groups = groupByOwner(n.c.ring, keys)
+		home = groups[0].owner
 	}
 	if home == n.id {
+		if len(groups) <= 1 {
+			// Admission copies the key slice; with no trace ID the local
+			// queue's own sampler decides.
+			n.local.Add(1)
+			return n.q.EnqueueMessage(pdq.Message{Handler: h[n.id], Keys: keys, Data: data})
+		}
 		// Spanning op homed here: start the acquisition directly. The
 		// origin samples, so the trace starts at the node the user called.
 		n.mu.Lock()
-		n.startSpanLocked(n.id, name, data, sorted, n.q.TraceSampleID())
+		n.startSpanLocked(n.id, name, data, keys, groups, n.q.TraceSampleID())
 		n.mu.Unlock()
 		return nil
+	}
+	if len(keys) == 1 {
+		keys = []pdq.Key{keys[0]} // the wire message must own its key slice
 	}
 	n.forwarded.Add(1)
 	// Sample before the message leaves: the forward hop is the trace's
@@ -160,32 +179,16 @@ func (n *node) route(name string, data any, keys []pdq.Key) error {
 	n.q.RecordTraceEvent(trace, pdq.TraceForward, 0, int64(home))
 	n.mu.Lock()
 	n.sendSeqLocked(home, WireMsg{
-		Kind: kindEnqueue, Origin: n.id, Handler: name, Keys: sorted, Data: data, TraceID: trace,
+		Kind: kindEnqueue, Origin: n.id, Handler: name, Keys: keys, Data: data, TraceID: trace,
 	})
 	n.mu.Unlock()
 	return nil
 }
 
-// enqueueLocal admits a message into this node's queue under its full key
-// set. The handler wrapper counts successful executions cluster-side.
-func (n *node) enqueueLocal(name string, data any, keys []pdq.Key, trace uint64) error {
-	h := n.c.handler(name)
-	if h == nil {
-		return fmt.Errorf("%w: %q", ErrUnknownHandler, name)
-	}
-	// WithTraceID(0) is inert, so the local queue's own sampler decides
-	// for origin-local messages while forwarded ones keep their ID.
-	return n.q.Enqueue(func(d any) {
-		h(d)
-		n.executed.Add(1)
-	}, pdq.WithKeys(keys...), pdq.WithData(data), pdq.WithTraceID(trace))
-}
-
 // startSpanLocked builds and starts the state machine for a spanning op
 // homed at this node. Caller holds n.mu.
-func (n *node) startSpanLocked(origin int, name string, data any, sorted []pdq.Key, trace uint64) {
+func (n *node) startSpanLocked(origin int, name string, data any, sorted []pdq.Key, groups []claimGroup, trace uint64) {
 	n.spanning.Add(1)
-	groups := groupByOwner(n.c.ring, sorted)
 	for _, g := range groups {
 		if g.owner != n.id {
 			n.remoteKeys.Add(uint64(len(g.keys)))
@@ -244,19 +247,10 @@ func (n *node) failSpanLocked(op *spanOp, err error) {
 // key, so re-queueing could only deadlock against its own claims), then
 // release of all claim groups.
 func (n *node) execSpan(op *spanOp) {
-	h := n.c.handler(op.name)
-	var err error
-	if h == nil {
-		err = fmt.Errorf("%w: %q", ErrUnknownHandler, op.name)
-	} else {
-		for attempt := 0; ; attempt++ {
-			if err = runGuarded(h, op.data); err == nil {
-				n.executed.Add(1)
-				break
-			}
-			if attempt >= n.c.cfg.retry {
-				break
-			}
+	h, err := n.c.handler(op.name)
+	for attempt := 0; h != nil; attempt++ {
+		if err = runGuarded(h[n.id], op.data); err == nil || attempt >= n.c.cfg.retry {
+			break
 		}
 	}
 	if err != nil {
@@ -276,13 +270,13 @@ func (n *node) releaseSpanLocked(op *spanOp) {
 		n.q.Complete(e)
 	}
 	op.local = nil
-	released := make(map[int]bool, 2)
+	released := uint64(1) << n.id // owner mask; New caps the cluster at 64 nodes
 	for i := 0; i < op.idx && i < len(op.groups); i++ {
 		g := op.groups[i]
-		if g.owner == n.id || released[g.owner] {
+		if released&(1<<g.owner) != 0 {
 			continue
 		}
-		released[g.owner] = true
+		released |= 1 << g.owner
 		n.q.RecordTraceEvent(op.trace, pdq.TraceReleaseSend, op.id, int64(g.owner))
 		n.sendSeqLocked(g.owner, WireMsg{Kind: kindRelease, Op: op.id, TraceID: op.trace})
 	}
@@ -333,74 +327,149 @@ func (n *node) serve(ctx context.Context) {
 }
 
 // sendSeqLocked transmits m on the session to peer `to`: the sequence
-// number is assigned and the message recorded unacked in the same locked
-// region as the transport send, so per-pair send order always matches
-// sequence order. Caller holds n.mu.
+// number is assigned and the message appended to the unacked window in the
+// same locked region as the transport send, so per-pair send order always
+// matches sequence order. Caller holds n.mu.
 func (n *node) sendSeqLocked(to int, m WireMsg) {
 	t := &n.tx[to]
 	t.nextSeq++
 	m.Seq = t.nextSeq
-	t.unacked[m.Seq] = unackedMsg{m: m, at: nowNanos(), rto: n.c.cfg.rto}
+	n.stampAckLocked(to, &m)
+	t.win.push(sentMsg{m: m, at: nowNanos()})
 	n.msgsSent.Add(1)
 	n.c.tr.Send(n.id, to, m)
 }
 
-// recv is the node's transport receive callback. Acks retire unacked
-// state; sequenced messages pass through the per-sender reorder/dedup
-// window and are processed strictly in sequence order.
-func (n *node) recv(from int, m WireMsg) {
-	if m.Kind == kindAck {
-		n.mu.Lock()
-		delete(n.tx[from].unacked, m.Ack)
-		n.mu.Unlock()
-		return
-	}
-	n.mu.Lock()
-	r := &n.rx[from]
-	if _, dup := r.buffered[m.Seq]; m.Seq < r.next || dup {
-		// Already processed or already buffered: a transport duplicate or a
-		// retransmission that crossed our ack. Drop it, but re-ack — the
-		// sender is retransmitting precisely because an ack was lost.
-		n.dupesDropped.Add(1)
-		n.ackLocked(from, m.Seq)
-		n.mu.Unlock()
-		return
-	}
-	r.buffered[m.Seq] = m
-	n.ackLocked(from, m.Seq)
-	for {
-		mm, ok := r.buffered[r.next]
-		if !ok {
-			break
-		}
-		delete(r.buffered, r.next)
-		r.next++
-		n.processLocked(from, mm)
-	}
-	n.mu.Unlock()
+// stampAckLocked writes the cumulative ack into a message leaving for
+// peer: every sequence up to Ack has been processed, in order, once.
+func (n *node) stampAckLocked(peer int, m *WireMsg) {
+	m.Ack = n.rx[peer].next - 1
+	n.rx[peer].owed = 0
 }
 
-// ackLocked acknowledges one received sequence. Acks ride outside the
-// sequenced stream and are never retransmitted; losing one just makes the
-// sender retransmit the data message, which is re-acked above.
-func (n *node) ackLocked(from int, seq uint64) {
-	n.c.tr.Send(n.id, from, WireMsg{Kind: kindAck, Ack: seq})
+// ackLocked sends a standalone ack. Acks ride outside the sequenced stream
+// and are never retransmitted: the next one, piggybacked or not, covers a
+// lost one. Behind a gap it also reports the hole, (Ack, Seq) exclusive.
+func (n *node) ackLocked(peer int) {
+	m := WireMsg{Kind: kindAck}
+	n.stampAckLocked(peer, &m)
+	if g := &n.rx[peer].gap; g.len() > 0 {
+		i := 1 // slot 0 is the hole at Ack+1; the last slot is filled
+		for g.at(i).Kind == 0 {
+			i++
+		}
+		m.Seq = m.Ack + 1 + uint64(i)
+	}
+	n.c.tr.Send(n.id, peer, m)
+}
+
+// ackedLocked retires every message to peer with sequence <= ack and
+// returns the highest sequence retired so far. The window's front yields
+// the RTT sample unless it was resent; progress clears the backoff.
+func (n *node) ackedLocked(peer int, ack uint64, now int64) uint64 {
+	t := &n.tx[peer]
+	base := t.nextSeq - uint64(t.win.len())
+	if ack <= base || ack > t.nextSeq {
+		return base // stale, reordered or duplicated
+	}
+	if h := t.win.at(0); !h.resent {
+		r := time.Duration(now - h.at)
+		t.rttvar += ((t.srtt - r).Abs() - t.rttvar) / 4
+		t.srtt += (r - t.srtt) / 8
+	}
+	t.win.popFront(int(ack - base))
+	t.rto = min(max(n.c.cfg.rto, t.srtt+4*t.rttvar), n.c.cfg.maxRTO)
+	return ack
+}
+
+// resendLocked retransmits the i-th unacked message to peer, if there is
+// one and its last transmission is at least minAge old.
+func (n *node) resendLocked(peer, i int, now int64, minAge time.Duration) bool {
+	t := &n.tx[peer]
+	if i >= t.win.len() || now-t.win.at(i).at < int64(minAge) {
+		return false
+	}
+	h := t.win.at(i)
+	h.at, h.resent = now, true
+	n.stampAckLocked(peer, &h.m)
+	n.redelivered.Add(1)
+	n.q.RecordTraceEvent(h.m.TraceID, pdq.TraceRetransmit, h.m.Seq, int64(peer))
+	n.c.tr.Send(n.id, peer, h.m)
+	return true
+}
+
+// recv is the node's transport receive callback. Every message carries the
+// sender's cumulative ack, which retires unacked state; sequenced messages
+// are processed strictly in order — directly, or behind a gap via rx.gap.
+func (n *node) recv(from int, m WireMsg) {
+	now := nowNanos()
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	base := n.ackedLocked(from, m.Ack, now)
+	if m.Kind == kindAck {
+		// A hole report: fill (Ack, Seq) now, not at the timeout — but a
+		// message at most once per tick, as every arrival behind the hole
+		// reports it again until the repair lands.
+		for s := max(m.Ack, base) + 1; s < m.Seq; s++ {
+			n.resendLocked(from, int(s-base-1), now, n.c.cfg.tick)
+		}
+		return
+	}
+	r := &n.rx[from]
+	if i := int(m.Seq) - int(r.next); i != 0 {
+		// Out of order. Beyond a hole it is held; below next, or already
+		// held, it is a transport duplicate or a retransmission because our
+		// ack was lost or late, and is dropped. Either way ack at once: the
+		// sender learns what we have and where the hole is.
+		for i > 0 && r.gap.len() <= i {
+			r.gap.push(WireMsg{})
+		}
+		if i > 0 && r.gap.at(i).Kind == 0 {
+			*r.gap.at(i) = m
+		} else {
+			n.dupesDropped.Add(1)
+		}
+		n.ackLocked(from)
+		return
+	}
+	r.next++
+	r.owed++
+	n.processLocked(from, &m)
+	// Filled a hole: deliver what waited behind it, up to the next, and ack.
+	filled := r.gap.len() > 0
+	for r.gap.len() > 0 {
+		r.gap.popFront(1) // the slot of the message just processed
+		if r.gap.len() == 0 || r.gap.at(0).Kind == 0 {
+			break
+		}
+		r.next++
+		n.processLocked(from, r.gap.at(0))
+	}
+	if filled || r.owed >= ackEvery {
+		n.ackLocked(from)
+	}
 }
 
 // processLocked handles one in-order sequenced message. Caller holds
 // n.mu; everything here is quick and non-blocking (queue admissions,
 // claim bookkeeping, transport sends).
-func (n *node) processLocked(from int, m WireMsg) {
+func (n *node) processLocked(from int, m *WireMsg) {
 	switch m.Kind {
 	case kindEnqueue:
 		n.q.RecordTraceEvent(m.TraceID, pdq.TraceRecv, m.Seq, int64(from))
-		home, spans := n.c.homeOf(m.Keys)
-		if spans && home == n.id {
-			n.startSpanLocked(m.Origin, m.Handler, m.Data, m.Keys, m.TraceID)
-			return
+		if len(m.Keys) > 1 {
+			if groups := groupByOwner(n.c.ring, m.Keys); len(groups) > 1 {
+				n.startSpanLocked(m.Origin, m.Handler, m.Data, m.Keys, groups, m.TraceID)
+				return
+			}
 		}
-		// Wholly owned here (the sender routed it; re-derived for safety).
-		if err := n.enqueueLocal(m.Handler, m.Data, m.Keys, m.TraceID); err != nil {
+		// Wholly owned here: the origin resolved the owner and routed it.
+		h, err := n.c.handler(m.Handler)
+		if err == nil {
+			err = n.q.EnqueueMessage(pdq.Message{
+				Handler: h[n.id], Keys: m.Keys, Data: m.Data, TraceID: m.TraceID})
+		}
+		if err != nil {
 			n.deadLettered.Add(1)
 			n.c.deadLetter(n.id, pdq.Message{Keys: m.Keys, Data: m.Data}, err)
 		}
@@ -432,46 +501,40 @@ func (n *node) processLocked(from int, m WireMsg) {
 	}
 }
 
-// retransmit drives the at-least-once delivery loop: every unacked
-// sequenced message older than its current retransmit interval is sent
-// again, until its ack arrives. The interval starts at the configured
-// timeout and doubles per resend (capped): when delivery is merely slow
-// rather than lossy — a congested receiver, a simulated network paying
-// per-message latency — fixed-interval resending of the whole backlog
-// adds traffic that slows delivery further, and the session spirals into
-// a retransmission storm. Backoff bounds the resends per message at
-// log(latency/rto) and breaks the feedback loop; a genuinely lost
-// message still repairs at the base timeout on its first retry.
-func (n *node) retransmit(ctx context.Context, rto time.Duration) {
-	tick := time.NewTicker(rto / 2)
+// sessions runs the session tick, a quarter of the configured retransmit
+// timeout, so a delayed ack is well inside any sender's timeout.
+func (n *node) sessions(ctx context.Context) {
+	tick := time.NewTicker(n.c.cfg.tick)
 	defer tick.Stop()
-	maxRTO := 64 * rto
-	if maxRTO > time.Second {
-		maxRTO = time.Second
-	}
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-tick.C:
 		}
-		now := nowNanos()
 		n.mu.Lock()
-		for to := range n.tx {
-			for seq, u := range n.tx[to].unacked {
-				if now-u.at >= int64(u.rto) {
-					u.at = now
-					if u.rto < maxRTO {
-						u.rto *= 2
-					}
-					n.tx[to].unacked[seq] = u
-					n.redelivered.Add(1)
-					n.q.RecordTraceEvent(u.m.TraceID, pdq.TraceRetransmit, u.m.Seq, int64(to))
-					n.c.tr.Send(n.id, to, u.m)
-				}
-			}
-		}
+		n.tickLocked(nowNanos())
 		n.mu.Unlock()
+	}
+}
+
+// tickLocked is one session tick, O(peers) whatever the backlog. It sends
+// the acks and hole reports still owed to peers with nothing going their
+// way to piggyback on, and drives the at-least-once loop: the front of a
+// peer's window is resent once unacked for the peer's timeout. Only the
+// front — what arrived behind a hole is held, so filling it moves the
+// cumulative ack to the next. The timeout tracks the measured round trip
+// and doubles per resend (capped) until progress: when delivery is merely
+// slow (a busy receiver, a latency-charging simulated network), resending
+// on a fixed interval adds the traffic that slows it further.
+func (n *node) tickLocked(now int64) {
+	for p := range n.tx {
+		if t := &n.tx[p]; n.resendLocked(p, 0, now, t.rto) {
+			t.rto = min(2*t.rto, n.c.cfg.maxRTO)
+		}
+		if r := &n.rx[p]; r.owed > 0 || r.gap.len() > 0 {
+			n.ackLocked(p)
+		}
 	}
 }
 
@@ -480,12 +543,7 @@ func (n *node) retransmit(ctx context.Context, rto time.Duration) {
 // queue. Caller holds n.mu.
 func (n *node) quietLocked() bool {
 	for i := range n.tx {
-		if len(n.tx[i].unacked) > 0 {
-			return false
-		}
-	}
-	for i := range n.rx {
-		if len(n.rx[i].buffered) > 0 {
+		if n.tx[i].win.len() > 0 || n.rx[i].gap.len() > 0 {
 			return false
 		}
 	}

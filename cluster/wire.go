@@ -22,9 +22,9 @@ const (
 	kindGrant
 	// kindRelease frees every claim group an owner holds for an op.
 	kindRelease
-	// kindAck acknowledges receipt of one sequenced message. Acks are
-	// unsequenced and never retransmitted: a lost ack is repaired by the
-	// sender retransmitting the data message, which the receiver re-acks.
+	// kindAck is a standalone cumulative ack, sent only when no sequenced
+	// message going that way has carried it in time. Acks are unsequenced
+	// and never retransmitted: the next one, piggybacked or not, covers it.
 	kindAck
 )
 
@@ -55,10 +55,11 @@ type WireMsg struct {
 	Kind msgKind
 
 	// Seq is the per-(sender, receiver) session sequence number, assigned
-	// from 1 in send order. It is 0 only on kindAck, which rides outside
-	// the sequenced stream.
+	// from 1 in send order. kindAck rides outside the sequenced stream: its
+	// Seq is 0 or, behind a gap, the first sequence held beyond the hole.
 	Seq uint64
-	// Ack is the sequence number being acknowledged (kindAck only).
+	// Ack is cumulative and rides on every message: its sender has processed
+	// every sequence up to Ack from the recipient, in order, exactly once.
 	Ack uint64
 
 	// Op identifies a spanning op, unique within its home node
