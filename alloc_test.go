@@ -1,6 +1,9 @@
 package pdq
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // TestDispatchPathAllocs pins the heap allocations of the two hot
 // consumer cycles — enqueue → TryDequeue → Complete, and a Run/RunNext
@@ -14,6 +17,12 @@ import "testing"
 // its own record and claim: those come off the shard's free lists (the
 // per-key claim FIFOs they replaced were pooled 64 deep, so a wider
 // backlog allocated one per message).
+//
+// The blocking dequeue with an entry ready costs exactly what TryDequeue
+// does, through a Queue and through a Mux holding it: both enter the one
+// wait loop (Mux.blockDequeue), whose first attempt must put no closure,
+// result slice or MuxBatch on the heap, and which arranges its
+// cancellation wake only once it is about to park.
 func TestDispatchPathAllocs(t *testing.T) {
 	noop := func(any) {}
 	for _, shards := range []int{1, 4} {
@@ -81,6 +90,47 @@ func TestDispatchPathAllocs(t *testing.T) {
 			c.f() // warm the node pool, claim queues and maps
 			if got := testing.AllocsPerRun(200, c.f); got != c.want {
 				t.Errorf("shards=%d/%s: %v allocs per cycle; want %v", shards, c.name, got, c.want)
+			}
+		}
+
+		ctx, cancel := context.WithCancel(context.Background()) // cancellable: Done() != nil
+		defer cancel()
+		m := NewMux()
+		mq, err := m.Queue("only", WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range []struct {
+			name    string
+			q       *Queue
+			dequeue func() (*Entry, error)
+		}{
+			{"queue", q, func() (*Entry, error) { return q.DequeueContext(ctx) }},
+			{"mux", mq, func() (*Entry, error) { _, e, err := m.DequeueContext(ctx); return e, err }},
+		} {
+			for _, c := range []struct {
+				name string
+				m    Message
+				want float64
+			}{
+				{"single-key", Message{Handler: noop, Keys: keys[:1]}, 2},
+				{"key-set", Message{Handler: noop, Keys: keys}, 2},
+				{"nosync", Message{Handler: noop, Mode: ModeNoSync}, 1},
+			} {
+				f := func() {
+					if err := b.q.EnqueueMessage(c.m); err != nil {
+						t.Fatal(err)
+					}
+					e, err := b.dequeue()
+					if err != nil {
+						t.Fatal(err)
+					}
+					b.q.Complete(e)
+				}
+				f()
+				if got := testing.AllocsPerRun(200, f); got != c.want {
+					t.Errorf("shards=%d/blocking-%s/%s: %v allocs per cycle; want %v", shards, b.name, c.name, got, c.want)
+				}
 			}
 		}
 	}

@@ -3,10 +3,7 @@ package pdq
 import (
 	"context"
 	"errors"
-	"math"
 	"math/bits"
-	"runtime"
-	"time"
 	"unsafe"
 )
 
@@ -55,7 +52,8 @@ func (q *Queue) TryDequeueBatch(max int) (es []*Entry, ok bool) {
 // drained and ctx.Err() on cancellation. DequeueBatch(ctx, 1) dispatches
 // exactly what DequeueContext would (one entry per batch).
 func (q *Queue) DequeueBatch(ctx context.Context, max int) ([]*Entry, error) {
-	return q.blockDequeue(ctx, max, nil)
+	_, es, err := q.solo.blockDequeue(ctx, false, max, nil, nil)
+	return es, err
 }
 
 // harvest makes one dispatch attempt across the barrier and all shards:
@@ -621,116 +619,4 @@ func (q *Queue) completeBatch(es []*Entry) {
 	// One wake covers the whole batch, bounded by the entries its
 	// released keys made ready.
 	q.settle(ws, &d, len(es))
-}
-
-// blockDequeue is the eventcount wait loop of DequeueContext and
-// DequeueBatch: harvest (up to max entries into buf, as in harvest)
-// until an attempt yields, ctx is done, or the queue is closed and
-// drained. The generation re-check under waitMu closes the
-// harvest-then-sleep race, and the timed backstop bounds how long a lost
-// shard TryLock race (which leaves no eventcount bump behind) can hide a
-// dispatchable entry. When delayed entries are pending, the park
-// additionally arms a timer for the earliest maturity — the wake that
-// lets WithDelay/WithNotBefore deliver on time without any polling
-// consumer.
-func (q *Queue) blockDequeue(ctx context.Context, max int, buf []*Entry) ([]*Entry, error) {
-	var stop func() bool
-	defer func() {
-		if stop != nil {
-			stop()
-		}
-	}()
-	spins := 0
-	for {
-		g := q.wakeSum()
-		es, retry := q.harvest(max, buf)
-		if len(es) > 0 {
-			return es, nil
-		}
-		if q.closed.Load() && q.confirmDrained() {
-			// Cascade the termination wake: shard wakeups are bounded by
-			// the event's dispatchability fan-out, so the final
-			// completion may have woken only this consumer while others
-			// stay parked with nothing left to wake them. Each exiting
-			// consumer re-broadcasts, so close+drain reaches every
-			// sleeper as a chain.
-			q.waitMu.Lock()
-			q.waitCond.Broadcast()
-			q.waitMu.Unlock()
-			return nil, ErrClosed
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		needBackstop := false
-		if retry {
-			// A shard's TryLock was lost; the state is unknown, so try
-			// again rather than sleep on a stale generation —
-			// but boundedly, falling into the eventcount sleep (with a
-			// timed backstop, since the lost race may never bump it) once
-			// the collisions persist.
-			if spins < maxDispatchSpins {
-				spins++
-				runtime.Gosched()
-				continue
-			}
-			needBackstop = true
-		}
-		spins = 0
-		if stop == nil && ctx.Done() != nil {
-			stop = context.AfterFunc(ctx, func() {
-				q.waitMu.Lock()
-				q.waitCond.Broadcast()
-				q.waitMu.Unlock()
-			})
-		}
-		q.waitMu.Lock()
-		// Publish the waiter BEFORE re-checking the generation: a producer
-		// that bumps the generation and then reads waiters == 0 is thereby
-		// guaranteed (seq-cst order) that this re-check observes its bump,
-		// so skipping the broadcast cannot strand us.
-		q.waiters.Add(1)
-		if q.wakeSum() == g {
-			q.g.waits.Add(1)
-			var backstop *time.Timer
-			if needBackstop {
-				// Armed under waitMu: the callback's own Lock cannot
-				// proceed until Wait has parked this consumer (releasing
-				// the mutex), so the broadcast can never fire into the
-				// pre-park window and be lost.
-				backstop = time.AfterFunc(dispatchBackoff, func() {
-					q.waitMu.Lock()
-					q.waitCond.Broadcast()
-					q.waitMu.Unlock()
-				})
-			}
-			var timed *time.Timer
-			if wake := q.nextTimerWake(); wake != math.MaxInt64 {
-				// A delayed entry is pending: park only until its
-				// maturity (same pre-park safety as the backstop). An
-				// overdue maturity that still yielded nothing — its entry
-				// is key-blocked or barrier-gated — degrades to the
-				// backoff cadence instead of an immediate re-fire.
-				d := time.Duration(wake - nowNanos())
-				if d <= 0 {
-					d = dispatchBackoff
-				}
-				timed = time.AfterFunc(d, func() {
-					q.g.timerWakeups.Add(1)
-					q.waitMu.Lock()
-					q.waitCond.Broadcast()
-					q.waitMu.Unlock()
-				})
-			}
-			q.waitCond.Wait()
-			if backstop != nil {
-				backstop.Stop()
-			}
-			if timed != nil {
-				timed.Stop()
-			}
-		}
-		q.waiters.Add(-1)
-		q.waitMu.Unlock()
-	}
 }

@@ -54,9 +54,9 @@
 // (fresh sequence number, Entry.Attempt incremented, Entry.Err carrying
 // the failure) up to n times, after which, or immediately with no retry
 // budget, the entry is handed to the WithDeadLetter hook together with its
-// Message and error (default: logged via the standard log package). Pool
-// and MuxPool workers execute handlers through Queue.Run, which recovers a
-// handler panic into Release(e, &PanicError{...}) and keeps the worker
+// Message and error (default: logged via the standard log package). Serve
+// and ServeMux workers execute handlers through Queue.Run, which recovers
+// a handler panic into Release(e, &PanicError{...}) and keeps the worker
 // alive. Manual TryDequeue/DequeueContext callers should invoke handlers
 // through Run — or replicate its Complete-or-Release discipline — so a
 // panicking handler cannot hold its keys forever.
@@ -71,8 +71,8 @@
 // dispatchable entries (each heading every claim queue it touches after
 // the pops of the earlier entries of the same batch) — and RunBatch
 // executes them in dispatch order with the per-entry Complete/Release
-// lifecycle: a mid-batch panic releases only the panicking entry. Pool
-// and MuxPool workers opt in with WithWorkerBatch(n). On queues built
+// lifecycle: a mid-batch panic releases only the panicking entry. Serve
+// and ServeMux workers opt in with WithWorkerBatch(n). On queues built
 // WithCoalesce, a harvested run of consecutive entries carrying identical
 // key sets and Batch handlers (the BatchHandler enqueue option) merges
 // into one entry whose Batch handler receives every payload in one
@@ -115,6 +115,7 @@ package pdq
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -304,6 +305,12 @@ type Queue struct {
 	tr          *tracer                    // lifecycle flight recorder; nil = tracing off (WithTrace)
 	shards      []shard                    // fixed at construction, indexed by key hash
 
+	// solo is the mux of one this queue is dequeued through (mux.go), and
+	// solo.pk the parker its consumers sleep on and its events wake: its
+	// own, or for a Mux member the mux's. Written only before the queue is
+	// shared.
+	solo Mux
+
 	// closed shares the read-only config lines above by design: it is
 	// read on every admission but written once, so it never bounces the
 	// line. The write-hot atomics below each get a cache line to
@@ -323,34 +330,15 @@ type Queue struct {
 
 	// Bounded-capacity slot accounting (cap > 0 only). Slots are reserved
 	// before any shard lock is taken and released when an entry dispatches,
-	// so EnqueueWait sleeps without holding dispatch locks. spaceWaiters
-	// gates the release-side cond handshake exactly like the consumer
-	// side's waiters: no sleeper published, no lock taken. capUsed is on
-	// every bounded enqueue and dispatch; isolate it from the eventcount
-	// state below.
-	capUsed      atomic.Int64
-	_            cpad
-	spaceWaiters atomic.Int32
-	spaceMu      sync.Mutex
-	space        *sync.Cond
-
-	// Consumer eventcount: every dispatchability change bumps a generation
-	// counter (per shard, so producers on different shards don't share a
-	// cacheline; extraGen covers barrier and close events). A consumer that
-	// read generation-sum g only sleeps while the sum is still g, closing
-	// the harvest-then-sleep race without a global dispatch lock.
-	_        cpad
-	extraGen atomic.Uint64
-	_        cpad
-	waiters  atomic.Int32
-	waitMu   sync.Mutex
-	waitCond *sync.Cond
+	// so EnqueueWait sleeps — on space — without holding dispatch locks.
+	// capUsed is on every bounded enqueue and dispatch.
+	capUsed atomic.Int64
+	_       cpad
+	space   *parker
 
 	drainMu      sync.Mutex
 	drainWaiters atomic.Int32 // registered Drain callers (gates the empty check)
 	waitersEmpty []chan struct{}
-
-	notify func() // optional hook: dispatchability may have changed
 
 	g globalCounters
 }
@@ -361,15 +349,12 @@ type globalCounters struct {
 	rejected      atomic.Uint64
 	barrierStalls atomic.Uint64
 	seqStalls     atomic.Uint64
-	waits         atomic.Uint64
-	enqueueWaits  atomic.Uint64
 	crossShard    atomic.Uint64
 	maxKeySet     atomic.Int64
 	panics        atomic.Uint64
 	released      atomic.Uint64
 	retries       atomic.Uint64
 	deadLettered  atomic.Uint64
-	timerWakeups  atomic.Uint64
 	handoffs      atomic.Uint64
 }
 
@@ -389,6 +374,8 @@ func New(opts ...Option) *Queue {
 		mask:        uint32(n - 1),
 		ring:        resolveIntakeRing(cfg.intakeRing),
 		shards:      make([]shard, n),
+		solo:        Mux{pk: newParker(), done: ErrClosed},
+		space:       newParker(),
 	}
 	if cfg.traceRate > 0 {
 		q.tr = newTracer(cfg.traceRate, cfg.traceNode, n)
@@ -397,8 +384,8 @@ func New(opts ...Option) *Queue {
 		q.shards[i].init(uint32(i), q.ring)
 		q.shards[i].tr = q.tr
 	}
-	q.space = sync.NewCond(&q.spaceMu)
-	q.waitCond = sync.NewCond(&q.waitMu)
+	q.solo.queues.Store(&[]*Queue{q})
+	q.solo.closed.Store(true)
 	return q
 }
 
@@ -703,26 +690,24 @@ func (q *Queue) Dequeue() (e *Entry, ok bool) {
 
 // maxDispatchSpins bounds how many consecutive inconclusive dispatch
 // attempts (shard TryLock losses) a blocking dequeue re-runs with Gosched
-// before parking. Unbounded retrying burns a core for as long as the
-// TryLocks keep colliding — exactly what happens when consumers outnumber
-// shards.
+// before parking.
 const maxDispatchSpins = 64
 
 // dispatchBackoff is how long a retry-exhausted consumer parks before a
 // forced retry. Colliding TryLocks leave no eventcount bump behind, so a
 // pure generation sleep could strand consumers that each lost a race to
-// the other; the timed broadcast guarantees a conclusive attempt instead.
+// the other; the timed wake guarantees a conclusive attempt instead.
 const dispatchBackoff = time.Millisecond
 
 // DequeueContext blocks until an entry is dispatchable, ctx is done, or
 // the queue is closed and fully drained. It returns ErrClosed on
 // close+drain and ctx.Err() on cancellation; any other return is a
 // dispatched entry the caller must Complete (or Release — see Run). The
-// dispatch attempt is a harvest of one, as in TryDequeue; the wait
-// protocol is blockDequeue (batch.go).
+// dispatch attempt is a harvest of one, as in TryDequeue; the wait is the
+// one blocking dequeue (Mux.blockDequeue), over the queue's mux of one.
 func (q *Queue) DequeueContext(ctx context.Context) (*Entry, error) {
 	var one [1]*Entry
-	es, err := q.blockDequeue(ctx, 1, one[:0])
+	_, es, err := q.solo.blockDequeue(ctx, false, 1, one[:0], nil)
 	if err != nil {
 		return nil, err
 	}
@@ -861,16 +846,8 @@ func (q *Queue) Close() {
 	if q.isIdle() {
 		q.notifyEmpty()
 	}
-	q.spaceMu.Lock()
-	q.space.Broadcast()
-	q.spaceMu.Unlock()
-	q.extraGen.Add(1)
-	q.waitMu.Lock()
-	q.waitCond.Broadcast()
-	q.waitMu.Unlock()
-	if q.notify != nil {
-		q.notify()
-	}
+	q.space.wakeAll()
+	q.wakeGlobal()
 }
 
 // Drain blocks until the queue holds no pending entries and no handler is
@@ -927,55 +904,16 @@ func (q *Queue) notifyEmpty() {
 // at least drain from the intake ring), and for a completion exactly the
 // entries its released keys made ready. When most of the queue is
 // key-blocked behind slow handlers, waking more than that turns the idle
-// consumers into a thundering herd on a core the critical chain needs.
-// Exactness cannot strand a dispatchable entry: a
-// consumer that misses a Signal because it had not parked yet re-checks
-// the generation sum under waitMu and skips the park, and a woken
-// consumer that loses its entry to an active one simply parks again —
-// the entry is in flight either way. It must not be called with any
-// shard lock held (the notify hook may be arbitrary).
+// consumers into a thundering herd on a core the critical chain needs
+// (why exactness strands nothing: docs/INVARIANTS.md § Wake protocol).
 func (q *Queue) wakeShard(s *shard, n int) {
 	s.wakeGen.Add(1)
-	if w := q.waiters.Load(); w > 0 {
-		q.waitMu.Lock()
-		if n >= int(w) {
-			q.waitCond.Broadcast()
-		} else {
-			for i := 0; i < n; i++ {
-				q.waitCond.Signal()
-			}
-		}
-		q.waitMu.Unlock()
-	}
-	if q.notify != nil {
-		q.notify()
-	}
+	q.solo.pk.wake(n)
 }
 
 // wakeGlobal publishes a queue-wide dispatchability change (barrier
 // traffic, close).
-func (q *Queue) wakeGlobal() {
-	q.extraGen.Add(1)
-	if q.waiters.Load() > 0 {
-		q.waitMu.Lock()
-		q.waitCond.Broadcast()
-		q.waitMu.Unlock()
-	}
-	if q.notify != nil {
-		q.notify()
-	}
-}
-
-// wakeSum snapshots the eventcount: the sum only ever grows, and any
-// dispatchability change anywhere changes it, so "sum unchanged" is a safe
-// sleep condition for consumers.
-func (q *Queue) wakeSum() uint64 {
-	g := q.extraGen.Load()
-	for i := range q.shards {
-		g += q.shards[i].wakeGen.Load()
-	}
-	return g
-}
+func (q *Queue) wakeGlobal() { q.solo.pk.wakeAll() }
 
 // totalPending counts undispatched entries across all shards plus queued
 // sequential barriers.
@@ -996,11 +934,6 @@ func (q *Queue) totalPending() int64 {
 // check). The reverse order has no such guarantee.
 func (q *Queue) isIdle() bool {
 	return q.totalPending() == 0 && q.inflightAll.Load() == 0
-}
-
-// closedAndDrained reports close+drain for mux bookkeeping.
-func (q *Queue) closedAndDrained() bool {
-	return q.closed.Load() && q.confirmDrained()
 }
 
 // confirmDrained certifies that no pending entry exists and none can
@@ -1064,29 +997,18 @@ func (q *Queue) tryReserveSlot() bool {
 	}
 }
 
-// reserveSlotWait claims one capacity slot, sleeping for space like the
-// unsharded queue's EnqueueMessageWait slow path.
+// reserveSlotWait claims one capacity slot, sleeping on q.space while the
+// queue is full. Close and ctx wake every sleeper; so does each freed slot
+// (releaseSlot) — a woken producer that leaves without the slot, or loses
+// it to a non-blocking Enqueue, must not have used up the only wake.
 func (q *Queue) reserveSlotWait(ctx context.Context) error {
 	if q.tryReserveSlot() {
 		return nil
 	}
-	// Slow path: arrange a context wakeup, then wait for space.
 	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, func() {
-			q.spaceMu.Lock()
-			q.space.Broadcast()
-			q.spaceMu.Unlock()
-		})
-		defer stop()
+		defer context.AfterFunc(ctx, q.space.wakeAll)()
 	}
-	q.spaceMu.Lock()
-	defer q.spaceMu.Unlock()
-	// Publish the producer-waiter BEFORE the capacity re-checks below: a
-	// releaser that frees a slot and then reads spaceWaiters == 0 is
-	// thereby guaranteed (seq-cst order) that this producer's re-check
-	// observes the freed slot, so skipping the broadcast cannot strand it.
-	q.spaceWaiters.Add(1)
-	defer q.spaceWaiters.Add(-1)
+	full := func() bool { return q.capUsed.Load() >= int64(q.cap) && !q.closed.Load() }
 	for {
 		if q.closed.Load() {
 			return ErrClosed
@@ -1097,25 +1019,17 @@ func (q *Queue) reserveSlotWait(ctx context.Context) error {
 		if q.tryReserveSlot() {
 			return nil
 		}
-		q.g.enqueueWaits.Add(1)
-		q.space.Wait()
+		q.space.park(ctx, full, false, math.MaxInt64)
 	}
 }
 
 // releaseSlot returns one capacity slot when an entry dispatches (pending
-// shrinks before Complete, exactly as in the unsharded queue). It runs on
-// every bounded-queue dispatch — from under a shard lock in the harvest — so
-// the cond handshake is gated on a published producer-waiter, mirroring
-// the consumer side's q.waiters gate: with nobody blocked in EnqueueWait,
-// freeing a slot is one atomic add.
+// shrinks before Complete). It runs on every bounded-queue dispatch — from
+// under a shard lock in the harvest — and with nobody blocked in
+// EnqueueWait costs one atomic add and one load.
 func (q *Queue) releaseSlot() {
-	if q.cap <= 0 {
-		return
-	}
-	q.capUsed.Add(-1)
-	if q.spaceWaiters.Load() > 0 {
-		q.spaceMu.Lock()
-		q.space.Broadcast()
-		q.spaceMu.Unlock()
+	if q.cap > 0 {
+		q.capUsed.Add(-1)
+		q.space.wake(math.MaxInt)
 	}
 }

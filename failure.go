@@ -140,8 +140,8 @@ func logDeadLetter(m Message, err error) {
 // Run executes a dequeued entry's handler with the failure lifecycle
 // applied: on normal return it calls Complete, and on a handler panic it
 // recovers, converts the panic into a *PanicError, and calls Release, so
-// the entry's keys are freed and the calling goroutine survives. Pool and
-// MuxPool workers execute every entry through Run; manual TryDequeue and
+// the entry's keys are freed and the calling goroutine survives. Serve and
+// ServeMux workers execute every entry through Run; manual TryDequeue and
 // DequeueContext callers should too, instead of invoking the handler and
 // Complete themselves. Run returns nil on success and the *PanicError on
 // a recovered panic. The handler must not call Complete or Release itself.
@@ -158,9 +158,9 @@ func (q *Queue) Run(e *Entry) error {
 // RunNext executes e like Run but completes through CompleteNext,
 // returning the chain-handoff successor when one was immediately
 // dispatchable on the released shard. A failing handler follows the
-// normal Release path and never hands off. Serve's workers use this to
-// stay glued to a deep per-key chain instead of re-entering the general
-// dequeue path between links.
+// normal Release path and never hands off. Workers serving a single
+// queue use this to stay glued to a deep per-key chain instead of
+// re-entering the general dequeue path between links.
 func (q *Queue) RunNext(e *Entry) (next *Entry, ok bool, err error) {
 	if pe := q.runHandler(e); pe != nil {
 		q.g.panics.Add(1)

@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Mux multiplexes several named parallel dispatch queues over one set of
@@ -18,12 +18,11 @@ import (
 // other, beyond sharing worker capacity) and round-robin fairness across
 // queues so one busy protocol cannot starve another.
 //
-// Wakeups use an edge-triggered token channel rather than a condition
-// variable: member queues signal the mux from under their own locks, and
-// the mux's dispatch path locks queues under the mux lock, so a
-// lock-based signal would invert that order. A buffered token coalesces
-// signals; consumers re-scan after every token, and dispatchers re-arm
-// the token so bursts cascade to the other workers.
+// The paper's virtual queues share one dispatch stage, and so do these:
+// every member queue publishes its events to the mux's parker (park.go),
+// and there is one blocking dequeue (blockDequeue) for a Mux of any size —
+// a Queue's own DequeueContext and DequeueBatch enter it through the mux
+// of one every Queue carries (Queue.solo).
 //
 // Dispatch never holds the mux lock: the member-queue slice is published
 // as a copy-on-write snapshot and the round-robin cursor is an atomic, so
@@ -34,15 +33,16 @@ import (
 //
 // A Mux is safe for concurrent use.
 type Mux struct {
-	mu     sync.Mutex // guards names, closed, and queue-set mutation
+	mu     sync.Mutex // guards names and queue-set mutation; closed is written under it
 	names  map[string]*Queue
-	closed bool
+	closed atomic.Bool // no queue will join; a Queue's mux of one is born closed
 
-	queues     atomic.Pointer[[]*Queue] // copy-on-write snapshot scanned lock-free
-	rr         atomic.Uint32            // round-robin scan start
-	dispatched atomic.Uint64
+	queues atomic.Pointer[[]*Queue] // copy-on-write snapshot scanned lock-free; only ever grows
+	rr     atomic.Uint32            // round-robin scan start (readers wrap it)
 
-	wakeCh chan struct{}
+	pk      *parker // where consumers of any member sleep; every member wakes it
+	done    error   // what a blocked dequeue returns on close+drain
+	partial int32   // 1 on a member queue's mux of one: its consumers serve part of what parks on pk
 }
 
 // snapshot returns the current member-queue slice. The slice is immutable
@@ -57,10 +57,7 @@ func (m *Mux) snapshot() []*Queue {
 // NewMux returns an empty mux; virtual queues are created on first use
 // via Queue.
 func NewMux() *Mux {
-	return &Mux{
-		names:  make(map[string]*Queue),
-		wakeCh: make(chan struct{}, 1),
-	}
+	return &Mux{names: make(map[string]*Queue), pk: newParker(), done: ErrMuxClosed}
 }
 
 // Queue returns the virtual queue with the given name, creating it shaped
@@ -76,11 +73,13 @@ func (m *Mux) Queue(name string, opts ...Option) (*Queue, error) {
 		}
 		return q, nil
 	}
-	if m.closed {
+	if m.closed.Load() {
 		return nil, ErrMuxClosed
 	}
 	q := New(opts...)
-	q.notify = m.wake // wake the mux on any dispatchability change
+	// The member parks and wakes where the mux does. Someone blocked in
+	// q's own Dequeue then shares a parker with consumers of its siblings.
+	q.solo.pk, q.solo.partial = m.pk, 1
 	m.names[name] = q
 	qs := append(append([]*Queue(nil), m.snapshot()...), q)
 	m.queues.Store(&qs)
@@ -98,37 +97,15 @@ func (m *Mux) Names() []string {
 	return names
 }
 
-// wake deposits a wakeup token (coalescing). It never blocks and never
-// takes m.mu — it is called from under member queues' locks.
-func (m *Mux) wake() {
-	select {
-	case m.wakeCh <- struct{}{}:
-	default:
-	}
-}
-
 // TryDequeue scans the virtual queues round-robin and returns the first
 // dispatchable entry along with its owning queue (pass it to that queue's
 // Run, or Complete/Release). ok=false means nothing is dispatchable right
 // now. The scan takes no mux-wide lock, so any number of workers can
 // dispatch concurrently.
 func (m *Mux) TryDequeue() (q *Queue, e *Entry, ok bool) {
-	qs := m.snapshot()
-	n := len(qs)
-	if n == 0 {
-		return nil, nil, false
-	}
-	start := int(m.rr.Load())
-	for i := 0; i < n; i++ {
-		cand := qs[(start+i)%n]
-		if e, ok := cand.TryDequeue(); ok {
-			// Fairness: resume after this queue. Concurrent dispatchers
-			// race on the cursor; any of their stores is a valid resume
-			// point, so a plain last-writer-wins store suffices.
-			m.rr.Store(uint32((start + i + 1) % n))
-			m.dispatched.Add(1)
-			return cand, e, true
-		}
+	var one [1]*Entry
+	if q, es, _ := m.attempt(1, one[:0], nil); q != nil {
+		return q, es[0], true
 	}
 	return nil, nil, false
 }
@@ -148,28 +125,145 @@ type MuxBatch struct {
 // been offered. ok=false means nothing was dispatchable anywhere. Like
 // TryDequeue, the scan takes no mux-wide lock.
 func (m *Mux) TryDequeueBatch(max int) (batches []MuxBatch, ok bool) {
+	m.attempt(max, nil, &batches)
+	return batches, len(batches) > 0
+}
+
+// attempt makes one dispatch attempt over the snapshot, round-robin from
+// the fairness cursor: each queue is asked for a harvest of what is left
+// of max (Queue.harvest; buf as there). With all == nil the first queue
+// that yields ends the attempt, and es is its harvest; otherwise every
+// yield is appended to *all until max entries are collected. q is the
+// last queue that yielded — nil when nothing was dispatchable — and retry
+// reports that some queue's attempt was inconclusive.
+func (m *Mux) attempt(max int, buf []*Entry, all *[]MuxBatch) (q *Queue, es []*Entry, retry bool) {
 	qs := m.snapshot()
 	n := len(qs)
-	if n == 0 {
-		return nil, false
-	}
-	if max < 1 {
-		max = 1
-	}
-	start := int(m.rr.Load())
-	total := 0
-	for i := 0; i < n && total < max; i++ {
-		cand := qs[(start+i)%n]
-		if es, ok := cand.TryDequeueBatch(max - total); ok {
-			batches = append(batches, MuxBatch{Queue: cand, Entries: es})
-			total += len(es)
-			// Fairness: resume after this queue (last-writer-wins, as in
-			// TryDequeue).
-			m.rr.Store(uint32((start + i + 1) % n))
-			m.dispatched.Add(uint64(len(es)))
+	at := int(m.rr.Load())
+	for i := 0; i < n; i++ {
+		if at >= n {
+			at = 0
+		}
+		cand := qs[at]
+		at++
+		// own is a variable of its own: what *all holds is on the heap, and
+		// buf — a caller's stack slot — must not flow there through es.
+		var own []*Entry
+		var r bool
+		if all == nil {
+			es, r = cand.harvest(max, buf)
+		} else if own, r = cand.harvest(max, nil); len(own) > 0 {
+			*all = append(*all, MuxBatch{Queue: cand, Entries: own})
+		}
+		retry = retry || r
+		got := len(es) + len(own)
+		if got == 0 {
+			continue
+		}
+		q = cand
+		if n > 1 {
+			// Fairness: resume after this queue. Concurrent dispatchers
+			// race on the cursor; any of their stores is a valid resume
+			// point, so a plain last-writer-wins store suffices.
+			m.rr.Store(uint32(at))
+		}
+		if max -= got; all == nil || max <= 0 {
+			break
 		}
 	}
-	return batches, len(batches) > 0
+	return q, es, retry
+}
+
+// blockDequeue is the one blocking dequeue: attempt (max, buf, all and the
+// results are attempt's) until something dispatches, the mux is closed and
+// drained (m.done), or ctx is done. watched says the caller has arranged
+// for ctx's end to wake m.pk — a worker does, once for its lifetime;
+// otherwise that is arranged here, before the first park. A lost shard
+// TryLock leaves the state unknown, so the attempt is re-run — boundedly,
+// or colliding TryLocks burn a core for as long as consumers outnumber
+// shards — before parking with a timed backstop. The park is skipped if
+// the generation sum moved since before the attempt, and bounded by the
+// members' earliest maturity (docs/INVARIANTS.md § Wake protocol).
+func (m *Mux) blockDequeue(ctx context.Context, watched bool, max int, buf []*Entry, all *[]MuxBatch) (*Queue, []*Entry, error) {
+	var stop func() bool // unregisters the wake arranged here
+	for spins := 0; ; {
+		g := m.wakeSum()
+		q, es, retry := m.attempt(max, buf, all)
+		var err error
+		switch {
+		case q != nil:
+		case m.drained():
+			// Wake counts are exact, so the last completion may have woken
+			// only this consumer: each one that leaves wakes the rest.
+			m.pk.wakeAll()
+			err = m.done
+		case ctx.Err() != nil:
+			// A Signal this consumer absorbed may have been for an entry
+			// its inconclusive last look did not find.
+			m.pk.wake(1)
+			err = ctx.Err()
+		case retry && spins < maxDispatchSpins:
+			spins++
+			runtime.Gosched()
+			continue
+		default:
+			spins = 0
+			if stop == nil && !watched && ctx.Done() != nil {
+				stop = context.AfterFunc(ctx, m.pk.wakeAll)
+			}
+			m.pk.partial.Add(m.partial)
+			m.pk.park(ctx, func() bool { return m.wakeSum() == g }, retry, m.nextTimerWake())
+			m.pk.partial.Add(-m.partial)
+			continue
+		}
+		if stop != nil {
+			stop()
+		}
+		return q, es, err
+	}
+}
+
+// wakeSum snapshots the eventcount consumers sleep on: the parker's own
+// generation plus every member shard's (per shard, so producers on
+// different shards do not share a cache line). It only ever grows, and any
+// dispatchability change anywhere changes it, so "sum unchanged" is a safe
+// sleep condition.
+func (m *Mux) wakeSum() uint64 {
+	g := m.pk.gen.Load()
+	for _, q := range m.snapshot() {
+		for i := range q.shards {
+			g += q.shards[i].wakeGen.Load()
+		}
+	}
+	return g
+}
+
+// nextTimerWake returns the earliest delayed-entry maturity across the
+// member queues, or math.MaxInt64 when nothing is delayed anywhere. Every
+// admission wakes a sleeper, so one that parked on a stale (too-late)
+// value is woken to recompute.
+func (m *Mux) nextTimerWake() int64 {
+	next := int64(math.MaxInt64)
+	for _, q := range m.snapshot() {
+		for i := range q.shards {
+			next = min(next, q.shards[i].nextMature.Load())
+		}
+	}
+	return next
+}
+
+// drained reports whether the mux is closed and every member queue is
+// closed with nothing pending.
+func (m *Mux) drained() bool {
+	if !m.closed.Load() {
+		return false
+	}
+	for _, q := range m.snapshot() {
+		if !q.closed.Load() || !q.confirmDrained() {
+			return false
+		}
+	}
+	return true
 }
 
 // DequeueBatch blocks until at least one entry is dispatchable on some
@@ -177,72 +271,9 @@ func (m *Mux) TryDequeueBatch(max int) (batches []MuxBatch, ok bool) {
 // (see MuxBatch), ctx is done (ctx.Err()), or the mux is closed and
 // every queue has drained (ErrMuxClosed).
 func (m *Mux) DequeueBatch(ctx context.Context, max int) ([]MuxBatch, error) {
-	var out []MuxBatch
-	err := m.blockDequeue(ctx, func() (ok bool) {
-		out, ok = m.TryDequeueBatch(max)
-		return ok
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// blockDequeue is the token wait loop shared by DequeueContext and
-// DequeueBatch: run attempt until it dispatches, ctx is done, or the mux
-// is closed and drained. The wake-token re-arm rules live only here — on
-// every exit and on every dispatch a token is re-deposited, so a
-// consumed token can never be stranded on a terminating consumer and
-// bursts cascade to sibling workers. When a member queue holds delayed
-// entries, the wait is additionally bounded by the earliest maturity
-// across the mux (a timer deposits a token), so delayed delivery works
-// without any polling worker.
-func (m *Mux) blockDequeue(ctx context.Context, attempt func() bool) error {
-	for {
-		if err := ctx.Err(); err != nil {
-			m.wake() // re-arm: don't strand a consumed token on exit
-			return err
-		}
-		if attempt() {
-			// More entries may be dispatchable: cascade to siblings while
-			// the caller executes these handlers.
-			m.wake()
-			return nil
-		}
-		if m.drained() {
-			m.wake() // cascade: release other blocked consumers too
-			return ErrMuxClosed
-		}
-		var timed *time.Timer
-		if wake := m.nextTimerWake(); wake != math.MaxInt64 {
-			d := time.Duration(wake - nowNanos())
-			if d <= 0 {
-				d = dispatchBackoff
-			}
-			timed = time.AfterFunc(d, m.wake)
-		}
-		select {
-		case <-m.wakeCh:
-		case <-ctx.Done():
-		}
-		if timed != nil {
-			timed.Stop()
-		}
-	}
-}
-
-// nextTimerWake returns the earliest delayed-entry maturity across the
-// member queues, or math.MaxInt64 when nothing is delayed anywhere. A
-// member enqueue always deposits a wake token, so a sleeper that read a
-// stale (too-late) value is woken to recompute.
-func (m *Mux) nextTimerWake() int64 {
-	next := int64(math.MaxInt64)
-	for _, q := range m.snapshot() {
-		if v := q.nextTimerWake(); v < next {
-			next = v
-		}
-	}
-	return next
+	var all []MuxBatch
+	_, _, err := m.blockDequeue(ctx, false, max, nil, &all)
+	return all, err
 }
 
 // Dequeue blocks until an entry is dispatchable on some virtual queue, or
@@ -258,45 +289,24 @@ func (m *Mux) Dequeue() (*Queue, *Entry, bool) {
 // otherwise the entry and its owning queue (execute it with that queue's
 // Run, or Complete/Release it manually).
 func (m *Mux) DequeueContext(ctx context.Context) (*Queue, *Entry, error) {
-	var q *Queue
-	var e *Entry
-	err := m.blockDequeue(ctx, func() (ok bool) {
-		q, e, ok = m.TryDequeue()
-		return ok
-	})
+	var one [1]*Entry
+	q, es, err := m.blockDequeue(ctx, false, 1, one[:0], nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return q, e, nil
-}
-
-// drained reports whether the mux is closed and every member queue is
-// closed with nothing pending or in flight.
-func (m *Mux) drained() bool {
-	m.mu.Lock()
-	closed := m.closed
-	m.mu.Unlock()
-	if !closed {
-		return false
-	}
-	for _, q := range m.snapshot() {
-		if !q.closedAndDrained() {
-			return false
-		}
-	}
-	return true
+	return q, es[0], nil
 }
 
 // Close closes the mux and every member queue. Pending entries still
 // dispatch; blocked Dequeue calls return once everything drains.
 func (m *Mux) Close() {
 	m.mu.Lock()
-	m.closed = true
+	m.closed.Store(true)
 	m.mu.Unlock()
 	for _, q := range m.snapshot() {
 		q.Close()
 	}
-	m.wake()
+	m.pk.wakeAll() // an empty mux has no member to publish the close
 }
 
 // MuxStats summarizes mux-level activity.
@@ -306,8 +316,14 @@ type MuxStats struct {
 }
 
 // Stats returns mux counters (per-queue stats live on each Queue).
+// Dispatched sums the member queues' own counts.
 func (m *Mux) Stats() MuxStats {
-	return MuxStats{Queues: len(m.snapshot()), Dispatched: m.dispatched.Load()}
+	var s MuxStats
+	for _, q := range m.snapshot() {
+		s.Queues++
+		s.Dispatched += q.Stats().Dispatched
+	}
+	return s
 }
 
 // String renders a short diagnostic line.
@@ -321,40 +337,10 @@ func (s MuxStats) String() string {
 // makes each worker fill a batch across the member queues per blocking
 // dispatch).
 func ServeMux(ctx context.Context, m *Mux, n int, opts ...PoolOption) *MuxPool {
-	p := &MuxPool{m: m}
-	p.start(ctx, n, opts, p.worker)
+	p := new(MuxPool)
+	p.start(ctx, m, n, opts)
 	return p
 }
 
-// MuxPool controls the workers started by ServeMux. Its Workers, Stop,
-// and Wait come from the same workerSet lifecycle Pool uses (see
-// WorkerGroup).
-type MuxPool struct {
-	workerSet
-	m *Mux
-}
-
-func (p *MuxPool) worker(ctx context.Context) {
-	if p.batch > 1 {
-		for {
-			batches, err := p.m.DequeueBatch(ctx, p.batch)
-			if err != nil {
-				return // cancelled, or closed and drained
-			}
-			for _, b := range batches {
-				// Per-entry lifecycle on the owning queue, panic-isolated
-				// inside the batch.
-				b.Queue.RunBatch(b.Entries)
-			}
-		}
-	}
-	for {
-		q, e, err := p.m.DequeueContext(ctx)
-		if err != nil {
-			return // cancelled, or closed and drained
-		}
-		// Guarded execution on the owning queue: a panic becomes that
-		// queue's Release (retry/dead-letter) and the worker survives.
-		q.Run(e)
-	}
-}
+// MuxPool controls the workers started by ServeMux (see WorkerGroup).
+type MuxPool struct{ workerSet }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -192,17 +193,117 @@ func TestMuxDequeueContextCancel(t *testing.T) {
 	}
 }
 
+// TestMuxStopReleasesWorkers: Stop reaches workers parked on an idle
+// queue, through either door into the worker loop, and leaves no goroutine
+// behind — neither a worker nor a cancellation wake helper.
 func TestMuxStopReleasesWorkers(t *testing.T) {
-	m := NewMux()
-	_, _ = m.Queue("idle")
-	p := ServeMux(context.Background(), m, 3)
-	done := make(chan struct{})
-	go func() { p.Stop(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not release idle mux workers")
+	for _, k := range serveKinds {
+		t.Run(k.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			q, _, p := k.start(3)
+			if !eventually(func() bool { return q.solo.pk.waiters.Load() == 3 }) {
+				t.Fatalf("%d of 3 workers parked", q.solo.pk.waiters.Load())
+			}
+			done := make(chan struct{})
+			go func() { p.Stop(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop did not release idle workers")
+			}
+			checkNoLeakedGoroutines(t, base)
+		})
 	}
+}
+
+// TestMuxPoolChainHandoff: the worker loop rides RunNext exactly while its
+// mux holds one queue. A one-queue ServeMux drains a deep single-key chain
+// link to link; with a sibling queue the pool takes no handoff at all — a
+// handoff falls back to the oldest ready entry of the same shard, so a
+// riding worker would never look at the sibling — and the one worker's
+// dispatch order meets TestMuxFairnessUnderLoad's bound: the i-th trickle
+// entry is at worst the 2i-th dispatch.
+func TestMuxPoolChainHandoff(t *testing.T) {
+	const chain, trickles = 1000, 50
+	noop := func(any) {}
+
+	m := NewMux()
+	q, _ := m.Queue("only")
+	for i := 0; i < chain; i++ {
+		mustEnqueue(t, q.Enqueue(noop, WithKey(1)))
+	}
+	p := ServeMux(context.Background(), m, 2)
+	m.Close()
+	p.Wait()
+	if s := q.Stats(); s.Completed != chain || s.ChainHandoffs < chain*9/10 {
+		t.Fatalf("one-queue mux: %d completed, %d chain handoffs, want %d and >= %d", s.Completed, s.ChainHandoffs, chain, chain*9/10)
+	}
+
+	m = NewMux()
+	flood, _ := m.Queue("flood")
+	trickle, _ := m.Queue("trickle")
+	var order []*Queue // written by the one worker's handlers
+	for i := 0; i < chain; i++ {
+		mustEnqueue(t, flood.Enqueue(func(any) { order = append(order, flood) }, WithKey(1)))
+	}
+	for i := 0; i < trickles; i++ {
+		mustEnqueue(t, trickle.Enqueue(func(any) { order = append(order, trickle) }, WithKey(Key(i))))
+	}
+	p = ServeMux(context.Background(), m, 1)
+	m.Close()
+	p.Wait()
+	if len(order) != chain+trickles {
+		t.Fatalf("work lost: %d of %d dispatched", len(order), chain+trickles)
+	}
+	seen := 0
+	for n, from := range order {
+		if from == trickle {
+			if seen++; n+1 > 2*trickles+1 {
+				t.Fatalf("trickle queue starved: entry %d was dispatch %d", seen, n+1)
+			}
+		}
+	}
+	if h := flood.Stats().ChainHandoffs + trickle.Stats().ChainHandoffs; h != 0 {
+		t.Fatalf("two-queue mux: the pool took %d chain handoffs, want 0", h)
+	}
+}
+
+// TestMuxMemberDequeueSharesParker: a member queue's own Dequeue callers
+// sleep on the mux's parker beside the mux's workers but serve only that
+// member. Wake counts are exact, so a Signal for a sibling's entry that
+// went to such a sleeper — here the longest-parked one, which a Signal
+// picks first — would be swallowed while the worker that could run the
+// entry sleeps on; with a partial waiter published every sleeper is woken.
+func TestMuxMemberDequeueSharesParker(t *testing.T) {
+	m := NewMux()
+	a, _ := m.Queue("a")
+	b, _ := m.Queue("b")
+	ctx, cancel := context.WithCancel(context.Background())
+	direct := make(chan error, 1)
+	go func() {
+		_, err := a.DequeueContext(ctx)
+		direct <- err
+	}()
+	if !eventually(func() bool { return m.pk.waiters.Load() == 1 }) {
+		t.Fatal("the member's own consumer did not park on the mux's parker")
+	}
+	p := ServeMux(context.Background(), m, 1)
+	if !eventually(func() bool { return m.pk.waiters.Load() == 2 }) {
+		t.Fatal("the mux worker did not park")
+	}
+	ran := make(chan struct{})
+	mustEnqueue(t, b.Enqueue(func(any) { close(ran) }, WithKey(1)))
+	select {
+	case <-ran:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a sibling's entry was stranded: its wake went to a consumer that serves only queue a")
+	}
+	cancel()
+	if err := <-direct; !errors.Is(err, context.Canceled) {
+		t.Fatalf("direct consumer returned %v, want context.Canceled", err)
+	}
+	m.Close()
+	p.Wait()
 }
 
 func TestMuxConcurrentProducers(t *testing.T) {

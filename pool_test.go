@@ -2,6 +2,7 @@ package pdq
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -147,18 +148,6 @@ func TestPoolSequentialIsolation(t *testing.T) {
 	}
 }
 
-func TestPoolStopCancels(t *testing.T) {
-	q := New()
-	p := Serve(context.Background(), q, 3)
-	done := make(chan struct{})
-	go func() { p.Stop(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop did not release blocked workers")
-	}
-}
-
 func TestPoolContextCancel(t *testing.T) {
 	q := New()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -230,6 +219,48 @@ func TestPoolWithBoundedQueueAndEnqueueWait(t *testing.T) {
 	}
 }
 
+// serveKinds are the two doors into the one worker loop: Serve over a
+// queue (its mux of one) and ServeMux over a Mux holding that queue. Tests
+// of the loop's lifecycle run over both from one table.
+var serveKinds = []struct {
+	name  string
+	start func(n int, opts ...Option) (q *Queue, closeAll func(), g WorkerGroup)
+}{
+	{"Serve", func(n int, opts ...Option) (*Queue, func(), WorkerGroup) {
+		q := New(opts...)
+		return q, q.Close, Serve(context.Background(), q, n)
+	}},
+	{"ServeMux", func(n int, opts ...Option) (*Queue, func(), WorkerGroup) {
+		m := NewMux()
+		q, err := m.Queue("only", opts...)
+		if err != nil {
+			panic(err)
+		}
+		return q, m.Close, ServeMux(context.Background(), m, n)
+	}},
+}
+
+// eventually polls cond between scheduler yields — no sleeping — and
+// reports whether it came true within a bounded number of rounds.
+func eventually(cond func() bool) bool {
+	for i := 0; i < 1<<22; i++ {
+		if cond() {
+			return true
+		}
+		runtime.Gosched()
+	}
+	return cond()
+}
+
+// checkNoLeakedGoroutines fails unless the goroutine count is back to
+// base (taken before the workers started) within eventually's bound.
+func checkNoLeakedGoroutines(t *testing.T, base int) {
+	t.Helper()
+	if !eventually(func() bool { return runtime.NumGoroutine() <= base }) {
+		t.Fatalf("%d goroutines, %d before the pool started: workers or their wake helpers leaked", runtime.NumGoroutine(), base)
+	}
+}
+
 // TestPoolCloseWakesAllWorkers drives the bounded-wake termination
 // cascade: shard wakeups wake only as many consumers as the event made
 // entries dispatchable, so when a single serial chain drains, most of
@@ -237,30 +268,35 @@ func TestPoolWithBoundedQueueAndEnqueueWait(t *testing.T) {
 // That worker must re-broadcast close+drain to the rest or Wait hangs
 // with sleepers left behind (the regression this test pins).
 func TestPoolCloseWakesAllWorkers(t *testing.T) {
-	q := New(WithShards(4))
-	var count atomic.Int64
-	const n = 200
-	for i := 0; i < n; i++ {
-		if err := q.Enqueue(func(any) {
-			time.Sleep(100 * time.Microsecond)
-			count.Add(1)
-		}, WithKey(Key(1))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 8 workers, 1 key: at most one dispatches at a time, 7 park.
-	p := Serve(context.Background(), q, 8)
-	q.Close()
-	done := make(chan struct{})
-	go func() { p.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatalf("pool did not drain: handled %d of %d, %d pending, %d in flight",
-			count.Load(), n, q.Len(), q.InFlight())
-	}
-	if got := count.Load(); got != n {
-		t.Fatalf("handled %d, want %d", got, n)
+	for _, k := range serveKinds {
+		t.Run(k.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			// 8 workers, 1 key: at most one dispatches at a time, 7 park.
+			q, closeAll, p := k.start(8, WithShards(4))
+			var count atomic.Int64
+			const n = 200
+			for i := 0; i < n; i++ {
+				if err := q.Enqueue(func(any) {
+					time.Sleep(100 * time.Microsecond)
+					count.Add(1)
+				}, WithKey(Key(1))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			closeAll()
+			done := make(chan struct{})
+			go func() { p.Wait(); close(done) }()
+			select {
+			case <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("pool did not drain: handled %d of %d, %d pending, %d in flight",
+					count.Load(), n, q.Len(), q.InFlight())
+			}
+			if got := count.Load(); got != n {
+				t.Fatalf("handled %d, want %d", got, n)
+			}
+			checkNoLeakedGoroutines(t, base)
+		})
 	}
 }
 

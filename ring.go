@@ -225,7 +225,7 @@ func (q *Queue) publishIntake(s *shard, n *node) {
 				// preempted, the woken worker waiting out the slice behind
 				// it. With no consumer parked they are merely busy, and
 				// yielding would only slow the producer.
-				if q.waiters.Load() > 0 {
+				if q.solo.pk.waiters.Load() > 0 {
 					runtime.Gosched()
 				}
 				return

@@ -400,3 +400,29 @@ func TestRingMaxOccupancyBounded(t *testing.T) {
 		t.Fatalf("RingMaxOccupancy = %d, want within [1, %d]", s.RingMaxOccupancy, size)
 	}
 }
+
+// TestRingYieldGateLiveUnderMux pins what the ring-full fallback's
+// scheduler yield keys on (publishIntake): the published-waiter count of
+// the parker the queue's consumers sleep on. For a member of a Mux that is
+// the mux's parker, so a ServeMux worker parked on an empty member opens
+// the gate — it once read a count only the queue's own Dequeue callers
+// moved, and did nothing for any queue served through a Mux.
+func TestRingYieldGateLiveUnderMux(t *testing.T) {
+	m := NewMux()
+	q, err := m.Queue("only")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := &q.solo.pk.waiters
+	if gate.Load() != 0 {
+		t.Fatalf("gate reads %d with no consumer", gate.Load())
+	}
+	p := ServeMux(context.Background(), m, 1)
+	if !eventually(func() bool { return gate.Load() > 0 }) {
+		t.Fatal("a parked ServeMux worker did not open the ring-full yield gate")
+	}
+	p.Stop()
+	if gate.Load() != 0 {
+		t.Fatalf("gate reads %d after Stop", gate.Load())
+	}
+}

@@ -447,16 +447,3 @@ func (q *Queue) expire(s *shard, n *node, d *deferred, ib *inBatch) {
 	d.expired = append(d.expired, e.msg)
 	s.recycle(n)
 }
-
-// nextTimerWake returns the earliest maturity instant across all shards,
-// or math.MaxInt64 when nothing is delayed. Blocking consumers arm a
-// timed park for it, so delayed entries mature without polling.
-func (q *Queue) nextTimerWake() int64 {
-	next := int64(math.MaxInt64)
-	for i := range q.shards {
-		if v := q.shards[i].nextMature.Load(); v < next {
-			next = v
-		}
-	}
-	return next
-}

@@ -421,9 +421,10 @@ func TestCoalesceMinDeadline(t *testing.T) {
 	q.Complete(es[0])
 }
 
-// TestMuxDelayedDelivery verifies the mux wait loop's timed wake: a
-// delayed entry on a member queue dispatches at maturity even though
-// every worker is parked on the mux token channel.
+// TestMuxDelayedDelivery verifies the timed wake of workers serving a
+// mux: a delayed entry on a member queue dispatches at maturity even
+// though every worker is parked, and the member's Stats count those parks
+// and the maturity timer that ended one.
 func TestMuxDelayedDelivery(t *testing.T) {
 	m := NewMux()
 	q, err := m.Queue("t")
@@ -446,6 +447,9 @@ func TestMuxDelayedDelivery(t *testing.T) {
 	}
 	m.Close()
 	p.Wait()
+	if s := q.Stats(); s.Waits == 0 || s.TimerWakeups == 0 {
+		t.Fatalf("mux workers' parks went uncounted: waits=%d timer_wakeups=%d", s.Waits, s.TimerWakeups)
+	}
 }
 
 // TestSchedulingComposition is the acceptance test for the scheduling

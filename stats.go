@@ -221,14 +221,14 @@ func (q *Queue) Stats() Stats {
 	s.Rejected = q.g.rejected.Load()
 	s.BarrierStalls = q.g.barrierStalls.Load()
 	s.SeqStalls = q.g.seqStalls.Load()
-	s.Waits = q.g.waits.Load()
-	s.EnqueueWaits = q.g.enqueueWaits.Load()
+	s.Waits = q.solo.pk.waits.Load()
+	s.EnqueueWaits = q.space.waits.Load()
 	s.CrossShard = q.g.crossShard.Load()
 	s.Panics = q.g.panics.Load()
 	s.Released = q.g.released.Load()
 	s.Retries = q.g.retries.Load()
 	s.DeadLettered = q.g.deadLettered.Load()
-	s.TimerWakeups = q.g.timerWakeups.Load()
+	s.TimerWakeups = q.solo.pk.timerWakeups.Load()
 	s.ChainHandoffs = q.g.handoffs.Load()
 	s.MaxKeySet = int(q.g.maxKeySet.Load())
 	s.Shards = len(q.shards)
