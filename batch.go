@@ -155,12 +155,10 @@ func (q *Queue) harvestShard(s *shard, max int, buf []*Entry) (es []*Entry, retr
 //pdq:crossshard — holds s.mu; an expiry reaches entries homed on foreign shards.
 func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, d *deferred) (_ []*Entry, cross *node) {
 	batch := es == nil
-	if s.in.slots != nil {
-		// The prefix drain: consume whatever is already published, never
-		// waiting on stragglers (an unpublished claim is an Enqueue that
-		// has not returned — the harvest owes it nothing).
-		q.drainIntake(s, s.in.tail.Load(), false)
-	}
+	// The prefix drain: consume whatever is already published, never
+	// waiting on stragglers (an unpublished claim is an Enqueue that has
+	// not returned — the harvest owes it nothing).
+	q.drainIntake(s, s.in.tail.Load(), false)
 	// The barrier gate must be read AFTER the intake drain: a drained
 	// entry's seq is fetched above, so if it landed past a pending
 	// barrier, the barrier's floor store is ordered before that fetch and

@@ -473,8 +473,7 @@ func work200() {
 // cases of BenchmarkDisjointKeys; run with -cpu 8. The amortized locking
 // pays off with real core-level contention on the shard locks — on a
 // single hardware thread timeslicing its workers, uncontended locks are
-// cheap and the two shapes converge; cmd/pdqbench and the CI bench
-// trajectory track the same comparison end to end.
+// cheap and the two shapes converge.
 func benchmarkWorkerBatch(b *testing.B) {
 	for _, batch := range []int{1, 16} {
 		b.Run(fmt.Sprintf("batch-%d", batch), func(b *testing.B) {

@@ -458,7 +458,7 @@ type NodeStats struct {
 
 // Stats is the cluster-wide activity snapshot: the node counters summed,
 // plus each node's own snapshot. All counters are cumulative since New;
-// JSON names are stable for external tooling (BENCH_cluster.json).
+// JSON names are stable for external tooling.
 type Stats struct {
 	Nodes        int         `json:"nodes"`
 	Local        uint64      `json:"local"`

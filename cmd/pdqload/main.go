@@ -1,11 +1,11 @@
 // Command pdqload drives Zipf-skewed, optionally bursty JSON ingest
 // traffic at a pdqd server and reports per-band client-side latency and
-// shed rates — the HTTP counterpart of cmd/pdqbench.
+// shed rates.
 //
 //	pdqload [-url http://localhost:8383] [-queue jobs] [-messages 50000]
 //	        [-conns 32] [-rate 0] [-keys 256] [-skew 1] [-bands 8,4,2,1]
 //	        [-burstlen 0] [-burstmult 2] [-handler noop] [-payload '{}']
-//	        [-seed 7] [-json .]
+//	        [-seed 7]
 //
 // Arrivals come from internal/workload.Traffic, so a run is reproducible
 // from its flags alone. -rate > 0 paces arrivals (messages/sec overall;
@@ -16,9 +16,9 @@
 // Each response is classified: 202 accepted, 429 shed (the overload
 // signal), anything else an error. Per-band request latency (POST round
 // trip) lands in pdq.LatencyHistogram buckets; the summary prints p50,
-// p99, and the shed fraction per band. -json writes BENCH_http.json in
-// the cmd/benchguard schema (strategy "http", throughput = accepted
-// messages per second of wall time) so baselines gate regressions.
+// p99, and the accepted/shed/error counts per band, and the exit status
+// is non-zero if any request errored. It is a smoke driver, not a
+// measurement: the repo's numbers come from benchmark/ (http_ingest).
 package main
 
 import (
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,29 +46,6 @@ type bandTally struct {
 	hist pdq.LatencyHistogram
 }
 
-// result is the machine-readable record written to BENCH_http.json,
-// shaped like cmd/pdqbench's so cmd/benchguard compares the two the
-// same way.
-type result struct {
-	Strategy   string  `json:"strategy"`
-	Workers    int     `json:"workers"` // client connections
-	Messages   int     `json:"messages"`
-	Keys       int     `json:"keys"`
-	Skew       float64 `json:"skew"`
-	Priorities int     `json:"priorities,omitempty"`
-	Seed       uint64  `json:"seed"`
-	ElapsedNS  int64   `json:"elapsed_ns"`
-	Handled    uint64  `json:"handled"` // 202-accepted messages
-	Throughput float64 `json:"throughput_msgs_per_sec"`
-
-	Shed   uint64 `json:"shed_429,omitempty"`
-	Errors uint64 `json:"errors,omitempty"`
-
-	BandAccepted [pdq.NumPriorities]uint64 `json:"band_accepted"`
-	BandShed     [pdq.NumPriorities]uint64 `json:"band_shed"`
-	BandP99NS    [pdq.NumPriorities]int64  `json:"band_p99_ns"`
-}
-
 func main() {
 	var (
 		url       = flag.String("url", "http://localhost:8383", "pdqd base URL")
@@ -85,7 +61,6 @@ func main() {
 		handler   = flag.String("handler", "noop", "wire handler name")
 		payload   = flag.String("payload", "", "JSON payload for every message (empty = none)")
 		seed      = flag.Uint64("seed", 7, "traffic stream seed")
-		jsonDir   = flag.String("json", ".", "directory for BENCH_http.json (empty = disabled)")
 	)
 	flag.Parse()
 
@@ -188,41 +163,23 @@ func main() {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	res := result{
-		Strategy: "http", Workers: *conns, Messages: *messages,
-		Keys: *keys, Skew: *skew, Priorities: len(weights), Seed: *seed,
-		ElapsedNS: elapsed.Nanoseconds(),
-	}
 	fmt.Printf("pdqload: %d messages in %v over %d conns\n", *messages, elapsed.Round(time.Millisecond), *conns)
+	var accepted, shed, errs uint64
 	for b := range tallies {
 		t := &tallies[b]
 		sent := t.sent.Load()
 		if sent == 0 {
 			continue
 		}
-		res.Handled += t.accepted.Load()
-		res.Shed += t.shed.Load()
-		res.Errors += t.errs.Load()
-		res.BandAccepted[b] = t.accepted.Load()
-		res.BandShed[b] = t.shed.Load()
-		res.BandP99NS[b] = t.hist.Quantile(0.99).Nanoseconds()
+		accepted += t.accepted.Load()
+		shed += t.shed.Load()
+		errs += t.errs.Load()
 		fmt.Printf("  band %d: sent=%d accepted=%d shed=%d errs=%d p50=%v p99=%v\n",
 			b, sent, t.accepted.Load(), t.shed.Load(), t.errs.Load(),
 			t.hist.Quantile(0.5), t.hist.Quantile(0.99))
 	}
-	res.Throughput = float64(res.Handled) / elapsed.Seconds()
-	fmt.Printf("  accepted %d (%.0f msgs/sec), shed %d, errors %d\n", res.Handled, res.Throughput, res.Shed, res.Errors)
-
-	if *jsonDir != "" {
-		path := filepath.Join(*jsonDir, "BENCH_http.json")
-		data, _ := json.MarshalIndent(res, "", "  ")
-		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "pdqload:", err)
-			os.Exit(1)
-		}
-		fmt.Println("pdqload: wrote", path)
-	}
-	if res.Errors > 0 {
+	fmt.Printf("  accepted %d (%.0f msgs/sec), shed %d, errors %d\n", accepted, float64(accepted)/elapsed.Seconds(), shed, errs)
+	if errs > 0 {
 		os.Exit(1)
 	}
 }

@@ -101,10 +101,10 @@
 // single-key traffic to different shards never contends on a shared
 // mutex. Steady-state enqueue does not even touch the shard lock: entries
 // homed wholly on one shard publish into that shard's lock-free MPSC
-// intake ring (WithIntakeRing), and the harvesting consumer drains the
-// ring under the lock it already holds for its harvest (see ring.go). A
-// multi-key entry is homed on the shard of its lowest-hashing key and
-// registers claims on every shard its key set touches; Sequential
+// intake ring, and the harvesting consumer drains the ring under the lock
+// it already holds for its harvest (see ring.go). A multi-key entry is
+// homed on the shard of its lowest-hashing key and registers claims on
+// every shard its key set touches (under those shards' locks); Sequential
 // entries are a cross-shard epoch barrier that drains all shards, runs
 // alone, and releases. Global enqueue-order FIFO for overlapping key sets
 // is preserved by the global sequence numbers stamped on every entry. On
@@ -118,7 +118,6 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -301,7 +300,6 @@ type Queue struct {
 	coalesce    bool                       // merge identical-key Batch runs at harvest (WithCoalesce)
 	coalesceMax int                        // messages per merged entry; <= 0 unbounded
 	mask        uint32                     // len(shards) - 1; shard count is a power of two
-	ring        int                        // per-shard intake ring size; 0 = mutex-only intake
 	tr          *tracer                    // lifecycle flight recorder; nil = tracing off (WithTrace)
 	shards      []shard                    // fixed at construction, indexed by key hash
 
@@ -335,10 +333,7 @@ type Queue struct {
 	capUsed atomic.Int64
 	_       cpad
 	space   *parker
-
-	drainMu      sync.Mutex
-	drainWaiters atomic.Int32 // registered Drain callers (gates the empty check)
-	waitersEmpty []chan struct{}
+	idle    *parker // Drain callers, woken by the completion that empties the queue
 
 	g globalCounters
 }
@@ -359,8 +354,13 @@ type globalCounters struct {
 }
 
 // New returns an empty queue shaped by opts.
-func New(opts ...Option) *Queue {
-	cfg := config{shards: 1, intakeRing: DefaultIntakeRing}
+func New(opts ...Option) *Queue { return newQueue(intakeRingSize, opts...) }
+
+// newQueue is New with the per-shard intake ring size exposed — a power
+// of two, at least 2 — for the in-package tests that keep the ring-full
+// fallback hot; every queue built through New gets intakeRingSize.
+func newQueue(ring int, opts ...Option) *Queue {
+	cfg := config{shards: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -372,16 +372,16 @@ func New(opts ...Option) *Queue {
 		coalesce:    cfg.coalesce,
 		coalesceMax: cfg.coalesceMax,
 		mask:        uint32(n - 1),
-		ring:        resolveIntakeRing(cfg.intakeRing),
 		shards:      make([]shard, n),
 		solo:        Mux{pk: newParker(), done: ErrClosed},
 		space:       newParker(),
+		idle:        newParker(),
 	}
 	if cfg.traceRate > 0 {
 		q.tr = newTracer(cfg.traceRate, cfg.traceNode, n)
 	}
 	for i := range q.shards {
-		q.shards[i].init(uint32(i), q.ring)
+		q.shards[i].init(uint32(i), ring)
 		q.shards[i].tr = q.tr
 	}
 	q.solo.queues.Store(&[]*Queue{q})
@@ -576,15 +576,14 @@ func (q *Queue) enqueueReserved(m *Message, attempt uint32, lastErr error) error
 
 // enqueueSharded admits a keyed, nosync, or barge message into its home
 // shard. Entries whose key set lives wholly on one shard — the hot paths —
-// ride that shard's lock-free intake ring when rings are enabled (see
-// ring.go); the harvesting consumer assigns their sequence numbers and
-// registers their claims at drain time, under the same lock it already
-// holds for the harvest. A multi-shard entry must join claim queues on
-// every shard its keys touch, so it takes the classic mutex path: every
-// involved shard is locked (in index order) across sequence assignment so
-// that per-key claim queues are joined in strictly increasing seq order —
-// the property
-// the whole cross-shard FIFO discipline rests on. Before fetching its seq
+// ride that shard's lock-free intake ring (see ring.go); the harvesting
+// consumer assigns their sequence numbers and registers their claims at
+// drain time, under the same lock it already holds for the harvest. A
+// multi-shard entry must join claim queues on every shard its keys touch,
+// so it takes the lock path: every involved shard is locked (in index
+// order) across sequence assignment so that per-key claim queues are
+// joined in strictly increasing seq order — the property the whole
+// cross-shard FIFO discipline rests on. Before fetching its seq
 // it drains the involved shards' rings to completion, so ring entries
 // published before it keep earlier sequence numbers and per-key FIFO holds
 // across the two paths.
@@ -626,7 +625,7 @@ func (q *Queue) enqueueSharded(m *Message, attempt uint32, lastErr error) (*shar
 		n.entry.deadline = toNanos(m.Deadline)
 	}
 	var err error
-	if q.ring > 0 && smask == 1<<home {
+	if smask == 1<<home {
 		err = q.enqueueIntake(h, n)
 	} else {
 		q.lockMask(smask)
@@ -803,21 +802,16 @@ func (q *Queue) releaseEntryState(e *Entry, d *deferred) *shard {
 }
 
 // finishInflight retires n in-flight handlers that resolved together
-// (one, outside a batch): it drops the global in-flight count, completes
-// a Drain that was waiting on it, and wakes as many consumers as the
+// (one, outside a batch): it drops the global in-flight count, wakes a
+// Drain that was waiting on it, and wakes as many consumers as the
 // event made entries ready (nready), scoped to ws when it is
 // shard-local. An event that made nothing ready wakes nobody — unless it
 // emptied the machine while a sequential barrier waits to activate or a
 // closed queue's consumers wait to learn it drained, which only a
 // consumer's own look can discover.
 func (q *Queue) finishInflight(ws *shard, nready, n int) {
-	// The drainWaiters gate is sound because Drain publishes its waiter
-	// count before checking emptiness itself; isIdle re-checks in the one
-	// read order the dispatch protocol makes safe.
 	if q.inflightAll.Add(-int64(n)) == 0 {
-		if q.drainWaiters.Load() > 0 && q.isIdle() {
-			q.notifyEmpty()
-		}
+		q.wakeDrain()
 		if q.bar.minSeq.Load() != 0 || q.closed.Load() {
 			ws = nil
 		}
@@ -843,9 +837,6 @@ func (q *Queue) shardFromMask(mask uint64) *shard {
 // Dequeue calls return ok=false once the queue drains.
 func (q *Queue) Close() {
 	q.closed.Store(true)
-	if q.isIdle() {
-		q.notifyEmpty()
-	}
 	q.space.wakeAll()
 	q.wakeGlobal()
 }
@@ -858,43 +849,22 @@ func (q *Queue) Close() {
 // keep serving the queue for it to return. Dead-letter hooks owed by
 // expired entries complete before Drain returns.
 func (q *Queue) Drain() {
-	for {
-		q.drainMu.Lock()
-		// Publish the waiter before checking emptiness: a completer that
-		// reads drainWaiters == 0 is then guaranteed this Drain's own check
-		// ran (or will run) after the completer's decrement, so no wakeup
-		// is lost.
-		q.drainWaiters.Add(1)
-		if q.isIdle() {
-			q.drainWaiters.Add(-1)
-			q.drainMu.Unlock()
-			return
-		}
-		ch := make(chan struct{})
-		q.waitersEmpty = append(q.waitersEmpty, ch)
-		q.drainMu.Unlock()
-		// A wakeup may be stale: the completer's guard (in-flight
-		// decrement, waiter check, idle check, close) is not atomic, so a
-		// completer preempted mid-guard can observe each clause true in a
-		// DIFFERENT idle episode and close a channel registered while
-		// later work is mid-flight. Re-verify on wake and re-park if the
-		// queue is busy again; the completion that next makes it idle
-		// re-runs the notify (the waiter count is republished above), so
-		// re-parking never strands the Drain.
-		<-ch
+	busy := func() bool { return !q.isIdle() }
+	for busy() {
+		q.idle.park(context.Background(), busy, false, math.MaxInt64)
 	}
 }
 
-func (q *Queue) notifyEmpty() {
-	q.drainMu.Lock()
-	if n := len(q.waitersEmpty); n > 0 {
-		for _, ch := range q.waitersEmpty {
-			close(ch)
-		}
-		q.waitersEmpty = nil
-		q.drainWaiters.Add(int32(-n))
+// wakeDrain wakes the parked Drain callers if the queue is idle. Every
+// event that can leave it idle calls this after making itself visible: a
+// completion or expiry that took the in-flight count to zero, and a
+// refused ring admission backing its pending count out. With no Drain
+// parked it costs one atomic load; a Drain woken into a busy queue parks
+// again (docs/INVARIANTS.md § Wake protocol).
+func (q *Queue) wakeDrain() {
+	if q.idle.waiters.Load() > 0 && q.isIdle() {
+		q.idle.wake(math.MaxInt)
 	}
-	q.drainMu.Unlock()
 }
 
 // wakeShard publishes a dispatchability change scoped to one shard (its

@@ -139,3 +139,55 @@ func TestConcurrentDrainersAllReleased(t *testing.T) {
 		t.Fatal("not all Drain callers were released")
 	}
 }
+
+// TestDrainNoLostWakeup races Drain's park against the events that must
+// end it (docs/INVARIANTS.md § Wake protocol). Each caller admits one
+// message to a served queue and Drains at once, so nearly every Drain
+// starts on a busy queue and races its park against the completion that
+// empties it. Close lands mid-stream and the callers carry on into the
+// closed queue, whose refused ring admissions raise and back out a pending
+// count another caller's Drain may have read (the other waker,
+// enqueueIntake). A lost wake leaves a Drain parked on a queue that stays
+// idle, and the round never finishes.
+func TestDrainNoLostWakeup(t *testing.T) {
+	for round := 0; round < 4; round++ {
+		q := New(WithShards(1 << (round % 3)))
+		p := Serve(context.Background(), q, 2)
+		var handled, accepted atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i, refused := 0, 0; refused < 100; i++ {
+					if w == 0 && i == 300 {
+						q.Close()
+					}
+					switch err := q.Enqueue(func(any) { handled.Add(1) }, WithKey(Key(w*64+i%5))); err {
+					case nil:
+						accepted.Add(1)
+					case ErrClosed:
+						refused++
+					default:
+						t.Errorf("Enqueue: %v", err)
+						return
+					}
+					q.Drain()
+				}
+			}(w)
+		}
+		finished := make(chan struct{})
+		go func() { wg.Wait(); p.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("round %d: a Drain is still parked (len=%d inflight=%d parks=%d)", round, q.Len(), q.InFlight(), q.idle.waits.Load())
+		}
+		if handled.Load() != accepted.Load() {
+			t.Fatalf("round %d: handled %d of %d accepted messages", round, handled.Load(), accepted.Load())
+		}
+		if q.idle.waits.Load() == 0 {
+			t.Fatalf("round %d: no Drain ever parked", round)
+		}
+	}
+}

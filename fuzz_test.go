@@ -22,9 +22,9 @@ import (
 // 1–3 key set drawn from a small universe so conflicts are common. The
 // shard selector sweeps 1, 2, 4, and 8 shards, so single-shard scans,
 // cross-shard reservations, and the epoch barrier are all exercised. The
-// ring selector sweeps the intake-ring size across 0 (mutex-only intake),
-// 2 (tiny, so ring-full fallbacks are constant), 8, and the default, so
-// both admission paths and the fallback protocol are fuzzed.
+// ring selector sweeps the intake-ring size across 2 (tiny, so ring-full
+// fallbacks are constant), 8, and the size New builds, so the lock-free
+// publish, the lock path and the fallback protocol are all fuzzed.
 func FuzzKeySetDispatch(f *testing.F) {
 	f.Add([]byte{}, uint8(0), uint8(0))
 	f.Add([]byte{7, 7, 7, 7}, uint8(0), uint8(1))
@@ -40,8 +40,8 @@ func FuzzKeySetDispatch(f *testing.F) {
 		}
 		const universe = 7
 		shards := 1 << (rawShards % 4)
-		ring := [...]int{0, 2, 8, DefaultIntakeRing}[rawRing%4]
-		q := New(WithShards(shards), WithIntakeRing(ring))
+		ring := [...]int{2, 8, intakeRingSize}[rawRing%3]
+		q := newQueue(ring, WithShards(shards))
 		p := Serve(context.Background(), q, 6)
 
 		var ran atomic.Int64

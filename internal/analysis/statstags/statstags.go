@@ -1,13 +1,14 @@
 // Package statstags enforces the stable-JSON contract on Stats structs.
 //
-// BENCH_*.json baselines, cmd/benchguard, and external dashboards parse
-// the counters by their JSON names, so those names are API: every
+// The Prometheus exporter (pdqhttp/metrics.go derives metric names from
+// the tags by reflection) and external dashboards read the counters by
+// their JSON names, so those names are API: every
 // exported field of a struct named "Stats" (or "...Stats") must carry
 // an explicit json tag, the tag must be snake_case (a stable, casing-
 // independent name rather than Go's default field-name marshaling), and
 // no two fields of one struct may share a tag — encoding/json silently
 // drops one of the duplicates, which is how a counter vanishes from a
-// baseline without any test noticing.
+// scrape without any test noticing.
 package statstags
 
 import (
@@ -22,7 +23,7 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "statstags",
 	Doc: "exported fields of Stats structs must carry unique, stable, " +
-		"snake_case json tags (BENCH baselines and benchguard parse them)",
+		"snake_case json tags (the Prometheus exporter derives metric names from them)",
 	Run: run,
 }
 
@@ -72,7 +73,7 @@ func checkStats(pass *analysis.Pass, name string, st *ast.StructType) {
 			switch {
 			case tag == "":
 				pass.Reportf(field.Pos(),
-					"exported field %s.%s has no json tag: Stats JSON names are stable API parsed by benchguard and BENCH baselines",
+					"exported field %s.%s has no json tag: Stats JSON names are stable API (the Prometheus exporter's metric names)",
 					name, fn)
 			case tag == "-":
 				// Explicitly unserialized: fine.

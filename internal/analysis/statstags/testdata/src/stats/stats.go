@@ -1,6 +1,6 @@
 // Package stats reproduces the duplicated-json-tag incident: two
 // counters marshaling to one name, so encoding/json silently drops one
-// and the BENCH baseline loses a column.
+// and the metrics scrape loses a column.
 package stats
 
 // Stats is the incident shape plus the other tag defects.

@@ -13,7 +13,7 @@ import "testing"
 //	go test -run '^$' -bench 'KeyRec|HarvestBlockedPrefix' -benchmem .
 
 func benchShard() *shard {
-	return &New(WithIntakeRing(0)).shards[0]
+	return &New().shards[0] // nothing is enqueued, so its ring stays empty
 }
 
 // BenchmarkKeyRecJoin: join a fresh key's claim queue as its head, then

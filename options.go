@@ -7,7 +7,6 @@ import "time"
 type config struct {
 	capacity    int
 	shards      int
-	intakeRing  int
 	retry       int
 	deadLetter  func(m Message, err error)
 	coalesce    bool
@@ -40,20 +39,6 @@ func WithCapacity(n int) Option {
 // global enqueue order (with n > 1 that order is per shard).
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
-}
-
-// WithIntakeRing sizes each shard's lock-free intake ring — the MPSC
-// publish ring through which entries homed wholly on one shard are
-// admitted without taking the shard mutex (the harvesting consumer
-// drains the ring under the lock it already holds; see ring.go). n is
-// rounded up to a power of two and capped at 65536; n <= 0 disables the
-// ring entirely, restoring mutex-only intake. A full ring never fails an
-// enqueue: the producer briefly spins for the consumer to free its slot,
-// then drains the ring itself under the shard lock, so Enqueue and
-// EnqueueWait semantics are unchanged at every size. Queues default to
-// DefaultIntakeRing.
-func WithIntakeRing(n int) Option {
-	return func(c *config) { c.intakeRing = n }
 }
 
 // WithRetry grants every entry a retry budget of n failed attempts: an

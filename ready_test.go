@@ -182,6 +182,7 @@ type refHarness struct {
 	m     *refModel
 	rng   *rand.Rand
 	batch int
+	eager bool  // flush the intake rings after every admission: nothing waits in a ring
 	dead  []int // data of dead-lettered messages not yet accounted for
 	held  []*Entry
 	data  int
@@ -377,9 +378,21 @@ func (h *refHarness) enqueue(universe []Key) {
 	if err := h.q.Enqueue(func(any) {}, opts...); err != nil {
 		h.fail("enqueue: %v", err)
 	}
+	h.admitted()
 	e := h.m.add(h.data, keys, mode, band, immature, expired, 0)
 	h.log = append(h.log, fmt.Sprintf("enqueue %d keys=%v mode=%v band=%d immature=%v expired=%v", e.id, e.keys, mode, band, immature, expired))
 	h.data++
+}
+
+// admitted runs after every admission (an enqueue, a retry). An eager
+// harness drains the intake rings there, so every entry has its sequence
+// number and its claim-queue places before the next operation — the state
+// lock-path admission leaves, which a harvest's own prefix drain reaches
+// only when it gets to the shard (never while a barrier runs).
+func (h *refHarness) admitted() {
+	if h.eager {
+		h.q.flushIntakeAll()
+	}
 }
 
 // resolveOne completes or releases one held entry. A release retries once
@@ -401,6 +414,7 @@ func (h *refHarness) resolveOne() {
 	}
 	h.log = append(h.log, fmt.Sprintf("release %d", me.id))
 	h.q.Release(e, errors.New("boom"))
+	h.admitted()
 	if me.attempt == 0 {
 		// The retry keeps band, deadline and NotBefore: a message that
 		// was delayed an hour is again.
@@ -410,15 +424,24 @@ func (h *refHarness) resolveOne() {
 	}
 }
 
+// TestReadyListMatchesReferenceModel checks every dispatch against the
+// reference model over shard counts, batch sizes and intake-ring sizes: 2
+// keeps the ring-full fallback hot, 4 laps often, 256 is what New builds.
+// Ring 0 is the default ring on an eager harness (refHarness.admitted), so
+// zero entries wait in it when dispatch looks.
 func TestReadyListMatchesReferenceModel(t *testing.T) {
 	for _, cfg := range []struct{ shards, ring, batch int }{
-		{1, 0, 1}, {1, DefaultIntakeRing, 1}, {1, 4, 8}, {1, 0, 8},
-		{4, 0, 1}, {4, DefaultIntakeRing, 1}, {4, 2, 8}, {4, DefaultIntakeRing, 8},
+		{1, 0, 1}, {1, intakeRingSize, 1}, {1, 4, 8}, {1, 0, 8},
+		{4, 0, 1}, {4, intakeRingSize, 1}, {4, 2, 8}, {4, intakeRingSize, 8},
 	} {
 		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("shards%d-ring%d-batch%d-seed%d", cfg.shards, cfg.ring, cfg.batch, seed), func(t *testing.T) {
-				h := &refHarness{t: t, rng: rand.New(rand.NewSource(seed)), batch: cfg.batch}
-				h.q = New(WithShards(cfg.shards), WithIntakeRing(cfg.ring), WithRetry(1),
+				h := &refHarness{t: t, rng: rand.New(rand.NewSource(seed)), batch: cfg.batch, eager: cfg.ring == 0}
+				ring := cfg.ring
+				if h.eager {
+					ring = intakeRingSize
+				}
+				h.q = newQueue(ring, WithShards(cfg.shards), WithRetry(1),
 					WithDeadLetter(func(m Message, err error) { h.dead = append(h.dead, m.Data.(int)) }))
 				h.m = newRefModel(h.q)
 				universe := make([]Key, 6) // small, so key sets collide; spread over the shards
@@ -501,7 +524,7 @@ func readySeedScripts() [][]byte {
 // with -race.
 func TestReadyListNoLostWakeup(t *testing.T) {
 	for round := 0; round < 6; round++ {
-		q := New(WithShards(4), WithCapacity(64), WithIntakeRing(8))
+		q := newQueue(8, WithShards(4), WithCapacity(64))
 		var handled, accepted atomic.Int64
 		var busy [64]atomic.Int32
 		var overlap atomic.Int32
@@ -573,9 +596,7 @@ func TestReadyListNoLostWakeup(t *testing.T) {
 // off wakes no consumer for itself.
 func TestCompleteNextHandsOffSameKeySuccessor(t *testing.T) {
 	for _, shards := range []int{1, 4} {
-		// No intake ring: an entry still in the ring has joined no claim
-		// queue, and the test is about one that has.
-		q := New(WithShards(shards), WithIntakeRing(0))
+		q := New(WithShards(shards))
 		nop := func(any) {}
 		keys := []Key{1, 2}
 		if shards > 1 {
@@ -594,6 +615,9 @@ func TestCompleteNextHandsOffSameKeySuccessor(t *testing.T) {
 			mustEnqueue(t, q.Enqueue(nop, WithData("bystander")))
 		}
 		mustEnqueue(t, q.Enqueue(nop, WithKeys(chain, other), WithData("successor")))
+		// An entry still in the ring has joined no claim queue, and the test
+		// is about one that has.
+		q.flushIntakeAll()
 		next, ok := q.CompleteNext(head)
 		if !ok || next.Message().Data != "successor" {
 			t.Fatalf("shards=%d: CompleteNext handed off %v (ok=%v), want the same-key successor", shards, next, ok)

@@ -6,7 +6,7 @@ package pdq
 // specialization exists to eliminate. This file moves the steady-state
 // enqueue off the lock entirely:
 //
-//   - Each shard owns a fixed-size MPSC intake ring (WithIntakeRing).
+//   - Each shard owns a fixed-size MPSC intake ring (intakeRingSize).
 //     A producer claims a slot with one atomic Add on the ring tail and
 //     publishes with one release store of the slot's sequence word; the
 //     message never touches the shard mutex. The harvesting consumer —
@@ -28,10 +28,10 @@ package pdq
 //     fetching their sequence number: an entry whose Enqueue returned
 //     before the barrier's began is guaranteed the smaller seq.
 //
-//   - Ring-full never blocks dispatch semantics: the producer spins
-//     briefly for the consumer to free its slot, then falls back to
-//     TryLock-ing the shard and draining the ring itself (publishing
-//     under the lock). The fallback uses TryLock, never Lock, because a
+//   - Ring-full never blocks dispatch semantics: the producer falls back
+//     to TryLock-ing the shard and draining the ring itself (publishing
+//     under the lock), spinning briefly for the consumer to free its slot
+//     between attempts. The fallback uses TryLock, never Lock, because a
 //     lock holder draining the ring may be spin-waiting on this very
 //     producer's publish — blocking on the mutex there would deadlock.
 //
@@ -74,9 +74,10 @@ import (
 	"sync/atomic"
 )
 
-// DefaultIntakeRing is the default per-shard intake ring size. Rings are
-// enabled by default; see WithIntakeRing.
-const DefaultIntakeRing = 256
+// intakeRingSize is every shard's intake ring size (a power of two).
+// Admission is not configurable: docs/PERF.md § Admission has the paired
+// runs that kept the ring and retired the mutex-only alternative.
+const intakeRingSize = 256
 
 // ringPublishSpins bounds how long a producer whose claimed slot is still
 // occupied (ring full) spins between TryLock fallback attempts, and how
@@ -121,43 +122,18 @@ type intake struct {
 	head uint64 // consumer cursor; guarded by shard.mu
 	_    cpad
 
-	// Cold occupancy stats: adjacent on purpose, they are only bumped on
+	// Cold publish counts: adjacent on purpose, they are only bumped on
 	// publish/fallback paths that already own their cache traffic.
 	published atomic.Uint64 // lock-free publishes
 	fallbacks atomic.Uint64 // ring-full publishes completed under the shard lock
-	spins     atomic.Uint64 // ring-full spin iterations across producers
 }
 
 func (in *intake) init(size int) {
-	if size <= 0 {
-		return
-	}
 	in.slots = make([]ringSlot, size)
 	in.mask = uint64(size - 1)
 	for i := range in.slots {
 		in.slots[i].seq.Store(uint64(i))
 	}
-}
-
-// resolveIntakeRing maps the WithIntakeRing argument to a concrete ring
-// size: n <= 0 disables the ring (mutex-only intake), anything else is
-// rounded up to a power of two with a floor of 2 (a one-slot ring would
-// make every second publish a fallback) and a cap of 1<<16.
-func resolveIntakeRing(n int) int {
-	if n <= 0 {
-		return 0
-	}
-	if n < 2 {
-		n = 2
-	}
-	if n > 1<<16 {
-		n = 1 << 16
-	}
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // enqueueIntake is the lock-free admission path for an entry homed
@@ -171,9 +147,7 @@ func (q *Queue) enqueueIntake(s *shard, n *node) error {
 	if n.entry.attempt == 0 && q.closed.Load() {
 		// Retries re-admit pre-close work, exactly as on the mutex path.
 		s.npending.Add(-1)
-		if q.drainWaiters.Load() > 0 && q.isIdle() {
-			q.notifyEmpty()
-		}
+		q.wakeDrain()
 		// A consumer that read the transient count took the closed queue
 		// for undrained and may have parked on it.
 		q.wakeGlobal()
@@ -207,7 +181,6 @@ func (q *Queue) publishIntake(s *shard, n *node) {
 		// rather than spinning first — the spin below is reserved for the
 		// case where the lock holder is actively draining (or harvesting) on
 		// another CPU and will free the slot shortly.
-		spins := 0
 		for {
 			if s.mu.TryLock() {
 				// Drain until the previous-lap occupant of our slot (ring
@@ -231,14 +204,10 @@ func (q *Queue) publishIntake(s *shard, n *node) {
 				return
 			}
 			for i := 0; i < ringPublishSpins; i++ {
-				spins++
 				if sl.seq.Load() == pos {
-					in.spins.Add(uint64(spins))
 					goto publish
 				}
 			}
-			in.spins.Add(uint64(spins))
-			spins = 0
 			runtime.Gosched()
 		}
 	}
@@ -265,12 +234,6 @@ func (q *Queue) drainIntake(s *shard, stop uint64, wait bool) {
 		return
 	}
 	size := uint64(len(in.slots))
-	// tail counts claimed positions, and a producer may claim one while
-	// every slot is still occupied (it then waits for its slot): the
-	// occupied slots are at most the ring.
-	if occ := int(min(in.tail.Load()-head, size)); occ > s.stats.maxRingOcc {
-		s.stats.maxRingOcc = occ
-	}
 	for head < stop {
 		sl := &in.slots[head&in.mask]
 		if sl.seq.Load() != head+1 {
@@ -300,9 +263,6 @@ func (q *Queue) drainIntake(s *shard, stop uint64, wait bool) {
 //
 //pdq:crossshard — runs with multiple shard locks already held.
 func (q *Queue) flushIntakeMask(mask uint64) {
-	if q.ring == 0 {
-		return
-	}
 	for i := uint32(0); i <= q.mask; i++ {
 		if mask&(1<<i) != 0 {
 			s := &q.shards[i]
@@ -316,9 +276,6 @@ func (q *Queue) flushIntakeMask(mask uint64) {
 // their sequence number, so every entry whose Enqueue returned before
 // the barrier's began is ordered (and will complete) ahead of it.
 func (q *Queue) flushIntakeAll() {
-	if q.ring == 0 {
-		return
-	}
 	for i := range q.shards {
 		s := &q.shards[i]
 		s.mu.Lock()

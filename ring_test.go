@@ -9,24 +9,6 @@ import (
 	"time"
 )
 
-// TestIntakeRingResolve pins the WithIntakeRing size mapping surfaced
-// through Stats.IntakeRing.
-func TestIntakeRingResolve(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{-1, 0}, {0, 0}, {1, 2}, {2, 2}, {5, 8}, {256, 256}, {1 << 20, 1 << 16},
-	}
-	for _, c := range cases {
-		q := New(WithIntakeRing(c.in))
-		if got := q.Stats().IntakeRing; got != c.want {
-			t.Errorf("WithIntakeRing(%d): ring %d, want %d", c.in, got, c.want)
-		}
-		q.Close()
-	}
-	if got := New().Stats().IntakeRing; got != DefaultIntakeRing {
-		t.Errorf("default ring %d, want %d", got, DefaultIntakeRing)
-	}
-}
-
 // TestIntakeRingConcurrentEnqueueDrainClose hammers the lock-free
 // admission path from many producers while consumers serve the queue,
 // Drain runs in a loop, and Close lands mid-stream. Exactly the messages
@@ -36,10 +18,10 @@ func TestIntakeRingResolve(t *testing.T) {
 // outstanding. Run with -race; the ring publish/drain and pool get/put
 // protocols are the subject.
 func TestIntakeRingConcurrentEnqueueDrainClose(t *testing.T) {
-	for _, ring := range []int{2, 8, DefaultIntakeRing} {
+	for _, ring := range []int{2, 8, intakeRingSize} {
 		ring := ring
 		t.Run(fmt.Sprintf("ring=%d", ring), func(t *testing.T) {
-			q := New(WithShards(4), WithIntakeRing(ring))
+			q := newQueue(ring, WithShards(4))
 			p := Serve(context.Background(), q, 4)
 
 			var handled atomic.Int64
@@ -94,7 +76,7 @@ func TestIntakeRingConcurrentEnqueueDrainClose(t *testing.T) {
 			if s.Enqueued != uint64(accepted.Load()) || s.Dispatched != s.Completed {
 				t.Fatalf("inconsistent stats: %s", s)
 			}
-			if ring > 0 && s.RingPublished+s.RingFallbacks == 0 {
+			if s.RingPublished+s.RingFallbacks == 0 {
 				t.Fatalf("no intake-ring publishes recorded: %s", s)
 			}
 		})
@@ -106,7 +88,7 @@ func TestIntakeRingConcurrentEnqueueDrainClose(t *testing.T) {
 // admitted — and asserts per-key enqueue-order FIFO holds across the
 // mixture of lock-free publishes and fallback (under-lock) publishes.
 func TestIntakeRingFallbackFIFO(t *testing.T) {
-	q := New(WithShards(2), WithIntakeRing(2))
+	q := newQueue(2, WithShards(2))
 	const producers = 4
 	const perProducer = 1000
 
@@ -170,54 +152,6 @@ func TestIntakeRingFallbackFIFO(t *testing.T) {
 	}
 }
 
-// TestIntakeRingMatchesMutexScan feeds one deterministic single-producer
-// workload — mixed priorities, delays, multi-key sets, nosync — to a
-// ring-enabled single-shard queue and a mutex-only one, and requires the
-// two to dispatch in exactly the same order: with the whole backlog
-// admitted before the first dequeue, the intake ring must be invisible
-// to scan semantics (WithShards(1) + ring ≡ the seed scan).
-func TestIntakeRingMatchesMutexScan(t *testing.T) {
-	run := func(ring int) []int {
-		q := New(WithShards(1), WithIntakeRing(ring))
-		defer q.Close()
-		for i := 0; i < 200; i++ {
-			opts := []EnqueueOption{WithData(i), WithPriority(i % NumPriorities)}
-			switch i % 5 {
-			case 0:
-				opts = append(opts, WithKeys(Key(i%3), Key(i%7)))
-			case 1:
-				opts = append(opts, NoSync())
-			default:
-				opts = append(opts, WithKey(Key(i%11)))
-			}
-			if err := q.Enqueue(func(any) {}, opts...); err != nil {
-				t.Fatalf("enqueue %d (ring=%d): %v", i, ring, err)
-			}
-		}
-		var order []int
-		for {
-			e, ok := q.TryDequeue()
-			if !ok {
-				break
-			}
-			order = append(order, e.Message().Data.(int))
-			q.Complete(e)
-		}
-		if len(order) != 200 {
-			t.Fatalf("dispatched %d of 200 (ring=%d)", len(order), ring)
-		}
-		return order
-	}
-	withRing := run(DefaultIntakeRing)
-	mutexOnly := run(0)
-	for i := range mutexOnly {
-		if withRing[i] != mutexOnly[i] {
-			t.Fatalf("dispatch order diverges at %d: ring=%v mutex=%v",
-				i, withRing[:i+1], mutexOnly[:i+1])
-		}
-	}
-}
-
 // TestIntakeRingBarrierFlush interleaves ring-path enqueues with
 // Sequential barriers under concurrent consumers: every barrier must
 // observe the handlers of all entries enqueued before it as completed,
@@ -225,7 +159,7 @@ func TestIntakeRingMatchesMutexScan(t *testing.T) {
 // rings when the barrier is enqueued (enqueueSequential's flush is the
 // mechanism under test).
 func TestIntakeRingBarrierFlush(t *testing.T) {
-	q := New(WithShards(4), WithIntakeRing(8))
+	q := newQueue(8, WithShards(4))
 	p := Serve(context.Background(), q, 4)
 	var count atomic.Int64
 	var bad atomic.Int32
@@ -262,7 +196,7 @@ func TestIntakeRingBarrierFlush(t *testing.T) {
 // born-expired entry dead-letters instead of running.
 func TestIntakeRingDelayedAndDeadline(t *testing.T) {
 	var dead atomic.Int64
-	q := New(WithShards(2), WithIntakeRing(8),
+	q := newQueue(8, WithShards(2),
 		WithDeadLetter(func(Message, error) { dead.Add(1) }))
 	p := Serve(context.Background(), q, 2)
 	var early atomic.Int32
@@ -360,44 +294,6 @@ func TestNodePoolCounters(t *testing.T) {
 	}
 	if s.Enqueued != burst+1 || s.Dispatched != burst+1 {
 		t.Fatalf("burst accounting off: %s", s)
-	}
-}
-
-// TestRingMaxOccupancyBounded overfills a small ring — many more
-// producers than slots, no consumer — so producers hold claimed
-// positions beyond the ring while they wait for a slot. The high-water
-// mark counts occupied slots, so it can reach the ring size and never
-// pass it (it once read tail − head, which also counts those waiters).
-func TestRingMaxOccupancyBounded(t *testing.T) {
-	const size = 8
-	q := New(WithIntakeRing(size))
-	var wg sync.WaitGroup
-	for g := 0; g < 4*size; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if err := q.Enqueue(func(any) {}, WithKey(Key(g))); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	for {
-		e, ok := q.TryDequeue()
-		if !ok {
-			break
-		}
-		q.Complete(e)
-	}
-	s := q.Stats()
-	if s.RingFallbacks == 0 {
-		t.Fatalf("the ring never filled: %s", s)
-	}
-	if s.RingMaxOccupancy < 1 || s.RingMaxOccupancy > size {
-		t.Fatalf("RingMaxOccupancy = %d, want within [1, %d]", s.RingMaxOccupancy, size)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 )
 
 // spinFor burns wall-clock time without sleeping, so handler cost is
-// scheduler-independent (as in cmd/pdqbench).
+// scheduler-independent.
 func spinFor(d time.Duration) {
 	end := time.Now().Add(d)
 	for time.Now().Before(end) {

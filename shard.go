@@ -62,7 +62,7 @@ type shard struct {
 	completed atomic.Uint64 // Complete calls credited to this shard
 	_         cpad
 
-	in   intake    // lock-free producer intake ring (empty when disabled)
+	in   intake    // lock-free producer intake ring
 	pool epochPool // lock-free node recycling across the producer/consumer boundary
 }
 
@@ -85,7 +85,6 @@ type shardCounters struct {
 	latency            [NumPriorities]LatencyHistogram // dispatch latency per band (see Stats.BandLatency)
 	maxPending         int
 	maxBatch           int // largest harvest from this shard, in messages
-	maxRingOcc         int // most intake-ring slots found occupied by a drain
 }
 
 func (s *shard) init(idx uint32, ring int) {

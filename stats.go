@@ -113,8 +113,8 @@ func (h LatencyHistogram) Mean() time.Duration {
 }
 
 // Stats counts queue activity. All counters are cumulative since New. The
-// JSON field names are stable so external tooling (cmd/pdqbench's
-// BENCH_*.json, dashboards) can track them across versions.
+// JSON field names are stable — the pdqhttp Prometheus exporter derives
+// its metric names from them — so dashboards can track them across versions.
 type Stats struct {
 	Enqueued           uint64 `json:"enqueued"`            // admissions (a retried entry re-counts)
 	Rejected           uint64 `json:"rejected"`            // messages refused with ErrFull
@@ -147,11 +147,8 @@ type Stats struct {
 	Shards             int    `json:"shards"`              // shard count of the dispatch core
 	MaxPending         int    `json:"max_pending"`         // high-water mark of pending entries (summed per shard: an upper bound when shards > 1)
 	MaxKeySet          int    `json:"max_key_set"`         // largest synchronization key set seen
-	IntakeRing         int    `json:"intake_ring"`         // per-shard intake ring size (0 = mutex-only intake)
 	RingPublished      uint64 `json:"ring_published"`      // lock-free intake-ring publishes
 	RingFallbacks      uint64 `json:"ring_fallbacks"`      // ring-full publishes completed under the shard lock
-	RingSpins          uint64 `json:"ring_spins"`          // producer spin iterations waiting for ring space
-	RingMaxOccupancy   int    `json:"ring_max_occupancy"`  // most intake-ring slots a drain found occupied (max across shards; at most intake_ring)
 	NodesReclaimed     uint64 `json:"nodes_reclaimed"`     // pending-list nodes recycled through the epoch pools
 	NodesCapped        uint64 `json:"nodes_capped"`        // nodes dropped to the GC because an epoch pool was full
 	TraceSampled       uint64 `json:"trace_sampled"`       // admissions elected for lifecycle tracing (WithTrace)
@@ -199,17 +196,12 @@ func (q *Queue) Stats() Stats {
 		if c.maxBatch > s.MaxBatch {
 			s.MaxBatch = c.maxBatch
 		}
-		if c.maxRingOcc > s.RingMaxOccupancy {
-			s.RingMaxOccupancy = c.maxRingOcc
-		}
 		s.Completed += sh.completed.Load()
 		s.RingPublished += sh.in.published.Load()
 		s.RingFallbacks += sh.in.fallbacks.Load()
-		s.RingSpins += sh.in.spins.Load()
 		s.NodesReclaimed += sh.pool.reclaimed.Load()
 		s.NodesCapped += sh.pool.capped.Load()
 	}
-	s.IntakeRing = q.ring
 	b := &q.bar
 	b.mu.Lock()
 	s.MaxPending += b.maxPending
@@ -243,7 +235,7 @@ func (q *Queue) Stats() Stats {
 // String renders the counters compactly for logs and reports.
 func (s Stats) String() string {
 	return fmt.Sprintf(
-		"enq=%d disp=%d done=%d seq=%d nosync=%d barge=%d multikey=%d conflicts=%d orderConflicts=%d seqStalls=%d barrierStalls=%d windowStalls=%d waits=%d enqWaits=%d crossShard=%d batches=%d batchEntries=%d maxBatch=%d coalesced=%d expired=%d delayed=%d timerWakeups=%d handoffs=%d prio=%v panics=%d released=%d retries=%d deadLettered=%d shards=%d maxPending=%d maxKeySet=%d rejected=%d ring=%d ringPub=%d ringFallbacks=%d ringSpins=%d ringMaxOcc=%d nodesReclaimed=%d nodesCapped=%d traceSampled=%d traceRecorded=%d traceDropped=%d",
+		"enq=%d disp=%d done=%d seq=%d nosync=%d barge=%d multikey=%d conflicts=%d orderConflicts=%d seqStalls=%d barrierStalls=%d windowStalls=%d waits=%d enqWaits=%d crossShard=%d batches=%d batchEntries=%d maxBatch=%d coalesced=%d expired=%d delayed=%d timerWakeups=%d handoffs=%d prio=%v panics=%d released=%d retries=%d deadLettered=%d shards=%d maxPending=%d maxKeySet=%d rejected=%d ringPub=%d ringFallbacks=%d nodesReclaimed=%d nodesCapped=%d traceSampled=%d traceRecorded=%d traceDropped=%d",
 		s.Enqueued, s.Dispatched, s.Completed, s.SeqDispatched, s.NoSyncDispatched,
 		s.BargeDispatched, s.MultiKeyDispatched, s.KeyConflicts, s.OrderConflicts, s.SeqStalls, s.BarrierStalls,
 		s.WindowStalls, s.Waits, s.EnqueueWaits, s.CrossShard,
@@ -251,7 +243,6 @@ func (s Stats) String() string {
 		s.Expired, s.Delayed, s.TimerWakeups, s.ChainHandoffs, s.PriorityDispatched,
 		s.Panics, s.Released, s.Retries, s.DeadLettered,
 		s.Shards, s.MaxPending, s.MaxKeySet, s.Rejected,
-		s.IntakeRing, s.RingPublished, s.RingFallbacks, s.RingSpins,
-		s.RingMaxOccupancy, s.NodesReclaimed, s.NodesCapped,
+		s.RingPublished, s.RingFallbacks, s.NodesReclaimed, s.NodesCapped,
 		s.TraceSampled, s.TraceRecorded, s.TraceDropped)
 }
