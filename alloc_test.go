@@ -7,16 +7,15 @@ import (
 
 // TestDispatchPathAllocs pins the heap allocations of the two hot
 // consumer cycles — enqueue → TryDequeue → Complete, and a Run/RunNext
-// chain handoff — to the counts measured before single dequeue became a
-// harvest of one. The benchmark bounds allocs_per_msg at 3% (under a
-// tenth of an allocation per message), so a result slice or an in-batch
-// key set that reaches the heap on the single-entry path fails here in
-// milliseconds rather than in a benchmark run. Each cycle costs the
-// message's key slice and the dispatched Entry; nothing else — also with
-// a backlog on hundreds of distinct keys at once, where every key needs
-// its own record and claim: those come off the shard's free lists (the
-// per-key claim FIFOs they replaced were pooled 64 deep, so a wider
-// backlog allocated one per message).
+// chain handoff — at zero: the pooled node is the message's only home from
+// admission to resolution (its key set inline, its Entry handed out in
+// place), so a result slice, a key copy or an in-batch key set that
+// reaches the heap on the single-entry path fails here in milliseconds
+// rather than in a benchmark run. That holds with a backlog on hundreds of
+// distinct keys at once, where every key needs its own record and claim —
+// those come off the shard's free lists — and the one exception is a key
+// set too large for the node's inline storage, which costs its one
+// private clone.
 //
 // The blocking dequeue with an entry ready costs exactly what TryDequeue
 // does, through a Queue and through a Mux holding it: both enter the one
@@ -81,11 +80,12 @@ func TestDispatchPathAllocs(t *testing.T) {
 			f    func()
 			want float64
 		}{
-			{"single-key", cycle(Message{Handler: noop, Keys: keys[:1]}), 2},
-			{"key-set", cycle(Message{Handler: noop, Keys: keys}), 2},
-			{"nosync", cycle(Message{Handler: noop, Mode: ModeNoSync}), 1},
-			{"chain-handoff", chain, 4},
-			{"wide-backlog", backlog, 3 * wide}, // the literal key slice, its admission copy, the Entry
+			{"single-key", cycle(Message{Handler: noop, Keys: keys[:1]}), 0},
+			{"key-set", cycle(Message{Handler: noop, Keys: keys}), 0},
+			{"spill-key-set", cycle(Message{Handler: noop, Keys: []Key{1, 2, 3, 4, 5}}), 1}, // past keybuf: one clone
+			{"nosync", cycle(Message{Handler: noop, Mode: ModeNoSync}), 0},
+			{"chain-handoff", chain, 0},
+			{"wide-backlog", backlog, wide}, // the test's own key literals
 		} {
 			c.f() // warm the node pool, claim queues and maps
 			if got := testing.AllocsPerRun(200, c.f); got != c.want {
@@ -113,9 +113,9 @@ func TestDispatchPathAllocs(t *testing.T) {
 				m    Message
 				want float64
 			}{
-				{"single-key", Message{Handler: noop, Keys: keys[:1]}, 2},
-				{"key-set", Message{Handler: noop, Keys: keys}, 2},
-				{"nosync", Message{Handler: noop, Mode: ModeNoSync}, 1},
+				{"single-key", Message{Handler: noop, Keys: keys[:1]}, 0},
+				{"key-set", Message{Handler: noop, Keys: keys}, 0},
+				{"nosync", Message{Handler: noop, Mode: ModeNoSync}, 0},
 			} {
 				f := func() {
 					if err := b.q.EnqueueMessage(c.m); err != nil {

@@ -94,7 +94,9 @@ func (q *Queue) tryActivateBarrier() (*Entry, bool) {
 		return nil, false
 	}
 	e := b.queue[0]
+	e.inflight = true
 	copy(b.queue, b.queue[1:])
+	b.queue[len(b.queue)-1] = Entry{} // the vacated slot must not pin a payload
 	b.queue = b.queue[:len(b.queue)-1]
 	b.active.Store(true)
 	// minSeq stays at e.seq while the handler runs: every pending entry

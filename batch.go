@@ -149,8 +149,8 @@ func (q *Queue) harvestShard(s *shard, max int, buf []*Entry) (es []*Entry, retr
 // Caller holds s.mu and must settle d after unlocking. Harvested entries
 // are appended to es. A nil es marks the public batch API: the result
 // slice is allocated here, and the batch counters and the TraceHarvest
-// event apply. Single-entry callers bring a one-slot buffer and pay for
-// nothing but the Entry.
+// event apply. Single-entry callers bring a one-slot buffer and allocate
+// nothing.
 //
 //pdq:crossshard — holds s.mu; an expiry reaches entries homed on foreign shards.
 func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, d *deferred) (_ []*Entry, cross *node) {
@@ -176,13 +176,6 @@ func (q *Queue) harvestLocked(s *shard, max int, es []*Entry, d *deferred) (_ []
 	if max > 1 {
 		ib = &ibs
 	}
-	// The harvest's entries live in one slab — one allocation and one GC
-	// object per harvest instead of one per entry, allocated lazily at
-	// the first dispatch so a gated or empty harvest allocates nothing.
-	// The capacity fixed at that first take is never exceeded (npending
-	// counts at least every entry linked under s.mu), so append never
-	// reallocates and the *Entry pointers stay valid.
-	var ents []Entry
 	msgs := 0 // messages harvested: entries plus coalesced merges
 	order := s.bandOrder()
 bands:
@@ -217,19 +210,13 @@ bands:
 			q.acquire(s, n)
 			s.creditDispatch(int(b), &n.entry, &now)
 			msgs++
-			if ents == nil {
+			e := &n.entry // handed out in place: the node retires when e is resolved
+			if batch && es == nil {
 				// n itself is already unlinked, hence the +1.
-				c := min(int(s.npending.Load())+1, max)
-				ents = make([]Entry, 0, c)
-				if batch {
-					es = make([]*Entry, 0, c)
-				}
+				es = make([]*Entry, 0, min(int(s.npending.Load())+1, max))
 			}
-			ents = append(ents, n.entry)
-			s.recycle(n) // use e from now on
-			e := &ents[len(ents)-1]
 			if t := s.tr; batch && t != nil && e.msg.TraceID != 0 {
-				t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, int64(len(ents)-1))
+				t.record(s.idx, e.msg.TraceID, TraceHarvest, e.seq, int64(len(es)))
 			}
 			es = append(es, e)
 			if ib == nil || e.msg.Mode != ModeKeyed {
@@ -302,9 +289,7 @@ func (q *Queue) take(n *node, batch, handoff bool, d *deferred) (e *Entry, ok bo
 	}
 	q.acquire(s, n)
 	s.creditDispatch(n.entry.msg.Priority, &n.entry, &now)
-	e = new(Entry)
-	*e = n.entry
-	s.recycle(n)
+	e = &n.entry
 	if batch {
 		s.stats.batches++
 		s.stats.batchEntries++
@@ -437,14 +422,14 @@ func (q *Queue) coalesceRun(s *shard, e *Entry, barSeq uint64, budget int, now *
 		}
 		s.stats.prioDispatched[m.Priority]++
 		s.stats.coalesced++
-		if e.extra == nil {
-			e.extra = new([]Message)
-		}
-		*e.extra = append(*e.extra, *m)
+		e.extra = append(e.extra, *m)
+		// The merged message outlives its node, retired below: it shares
+		// the representative's key slice, equal to its own.
+		e.extra[len(e.extra)-1].Keys = e.msg.Keys
 		if t := s.tr; t != nil && m.TraceID != 0 {
-			t.record(s.idx, m.TraceID, TraceCoalesce, n.entry.seq, int64(len(*e.extra)))
+			t.record(s.idx, m.TraceID, TraceCoalesce, n.entry.seq, int64(len(e.extra)))
 		}
-		s.recycle(n)
+		s.pool.put(n)
 		merged++
 	}
 	return merged
@@ -538,13 +523,15 @@ func (q *Queue) RunBatch(es []*Entry) error {
 // with no free slot, or a fresh message on a queue that closed — a
 // pre-close retry re-admits as always).
 func (q *Queue) releaseUnrun(e *Entry) {
+	e.resolve()
 	var d deferred
 	ws := q.releaseEntryState(e, &d)
 	q.g.released.Add(1)
 	q.readmitOrDeadLetter(e.msg, e.attempt, e.err)
-	for _, m := range e.extraList() {
+	for _, m := range e.extra {
 		q.readmitOrDeadLetter(m, e.attempt, e.err)
 	}
+	q.retire(e)
 	q.settle(ws, &d, 1)
 }
 
@@ -567,27 +554,22 @@ func (q *Queue) readmitOrDeadLetter(m Message, attempt uint32, lastErr error) {
 // It is exactly len(es) Complete calls with the locking and waking
 // amortized; the drain check and read-order guarantees are unchanged.
 func (q *Queue) completeBatch(es []*Entry) {
-	if len(es) == 0 {
-		return
+	single := len(es) < 2
+	for _, e := range es {
+		// Sequential entries only ever travel in batches of one, so this
+		// cannot happen for a harvested batch; stay correct for hand-built
+		// slices.
+		single = single || e.msg.Mode == ModeSequential
 	}
-	if len(es) == 1 {
-		q.Complete(es[0])
+	if single {
+		for _, e := range es {
+			q.Complete(e)
+		}
 		return
 	}
 	var mask uint64
 	for _, e := range es {
-		if e.msg.Mode == ModeSequential {
-			// Sequential entries only ever travel in batches of one, so
-			// this cannot happen for a harvested batch; stay correct for
-			// hand-built slices.
-			for _, e := range es {
-				q.Complete(e)
-			}
-			return
-		}
-		if len(e.msg.Keys) > 0 && e.claims == nil {
-			panic("pdq: Complete/Release for key with no in-flight handler")
-		}
+		e.resolve()
 		mask |= e.smask
 	}
 	var d deferred
@@ -605,14 +587,13 @@ func (q *Queue) completeBatch(es []*Entry) {
 	}
 	ws := q.shardFromMask(mask)
 	ws.completed.Add(uint64(len(es)))
-	if t := q.tr; t != nil {
+	for _, e := range es {
 		// The group commit bypasses per-entry Complete; traced entries
 		// still owe their completion events.
-		for _, e := range es {
-			if e.msg.TraceID != 0 {
-				t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceComplete, e.seq, 0)
-			}
+		if t := q.tr; t != nil && e.msg.TraceID != 0 {
+			t.record(q.shardFromMask(e.smask).idx, e.msg.TraceID, TraceComplete, e.seq, 0)
 		}
+		q.retire(e)
 	}
 	// One wake covers the whole batch, bounded by the entries its
 	// released keys made ready.

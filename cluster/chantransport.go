@@ -211,11 +211,15 @@ func (t *ChanTransport) deliver(from, to int, m WireMsg, after time.Duration) {
 		t.boxes[to].put(from, &m)
 		return
 	}
-	t.timers.Add(1)
-	time.AfterFunc(after, func() {
-		defer t.timers.Done()
-		t.boxes[to].put(from, &m)
-	})
+	t.closeMu.Lock() // orders the Add before Close's Wait: a closing transport drops what it would have delayed
+	if !t.closed {
+		t.timers.Add(1)
+		time.AfterFunc(after, func() {
+			defer t.timers.Done()
+			t.boxes[to].put(from, &m)
+		})
+	}
+	t.closeMu.Unlock()
 }
 
 // Close stops delivery and waits for the delivery goroutines (and any

@@ -118,6 +118,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -226,6 +227,10 @@ type Message struct {
 // Entry is a dispatched queue entry. Callers using the low-level dequeue
 // interface must resolve the entry exactly once after running the handler:
 // Complete on success, Release on failure (Run does this automatically).
+// An *Entry, and the Keys of the Message it returns, are valid from the
+// dequeue that returned it until the Complete, Release or Run* call that
+// resolves it returns: resolving hands the entry's pooled slot to the next
+// message (docs/INVARIANTS.md § Entry lifetime).
 type Entry struct {
 	msg       Message
 	seq       uint64 // global enqueue sequence number, for ordering and diagnostics
@@ -234,46 +239,50 @@ type Entry struct {
 	deadline  int64  // expiry instant on the scheduling clock; 0 = none
 	enqAt     int64  // admission instant on the scheduling clock, for the dispatch-latency histograms
 	attempt   uint32 // prior failed executions (0 = first dispatch)
+	inflight  bool   // dispatched and not yet resolved (see resolve)
 	err       error  // error from the Release that caused this retry, if any
+	node      *node  // the pooled slot the entry lives in; nil for a sequential entry
 
 	// claims chains the entry's stake in each key it carries (shard.go):
 	// its places in the claim queues while pending, its shares of the
 	// in-flight counts from dispatch until Complete or Release.
 	claims *claim
 
-	// extra holds the messages coalesced behind msg (WithCoalesce
-	// harvests). It is a pointer, not a slice, to keep the common
-	// uncoalesced Entry a size class smaller on the hot path.
-	extra *[]Message
-}
-
-// extraList returns the coalesced messages, nil for an ordinary entry.
-func (e *Entry) extraList() []Message {
-	if e.extra == nil {
-		return nil
-	}
-	return *e.extra
+	// extra holds the messages coalesced behind msg (WithCoalesce harvests).
+	extra []Message
 }
 
 // Message returns the message carried by the entry (the representative,
-// if coalescing merged more — see Size).
+// if coalescing merged more — see Size). Its Keys are the queue's own,
+// read-only and valid only as long as the entry (see Entry).
 func (e *Entry) Message() Message { return e.msg }
+
+// resolve opens every Complete and Release: it checks and clears the mark
+// set at dispatch, before any key state is touched. A retired entry reads
+// as not in flight, so a second resolution panics — unless its slot was
+// dispatched again in between, which looks like a first resolution of the
+// later message: hence the lifetime rule on Entry.
+func (e *Entry) resolve() {
+	if !e.inflight {
+		panic("pdq: Complete/Release of an entry that is not in flight")
+	}
+	e.inflight = false
+}
 
 // Size returns how many messages the entry carries: 1, unless the queue
 // was built WithCoalesce and the batch harvest merged an identical-key
 // run into this entry. The merged messages' payloads are delivered
 // together to the representative's Batch handler; one Complete (or
 // Release) resolves the whole entry.
-func (e *Entry) Size() int { return 1 + len(e.extraList()) }
+func (e *Entry) Size() int { return 1 + len(e.extra) }
 
 // payloads collects the Data of every message the entry carries, in
 // enqueue order, for a Batch handler invocation.
 func (e *Entry) payloads() []any {
-	extra := e.extraList()
-	datas := make([]any, 1+len(extra))
+	datas := make([]any, 1+len(e.extra))
 	datas[0] = e.msg.Data
-	for i := range extra {
-		datas[i+1] = extra[i].Data
+	for i := range e.extra {
+		datas[i+1] = e.extra[i].Data
 	}
 	return datas
 }
@@ -425,7 +434,6 @@ func (q *Queue) Enqueue(handler func(data any), opts ...EnqueueOption) error {
 	if err != nil {
 		return err
 	}
-	// buildMessage assembled a fresh key slice; no defensive copy needed.
 	return q.admit(m)
 }
 
@@ -451,7 +459,6 @@ func (q *Queue) EnqueueMessage(m Message) error {
 	if err := checkMessage(&m); err != nil {
 		return err
 	}
-	m.Keys = cloneKeys(m.Keys)
 	return q.admit(m)
 }
 
@@ -461,23 +468,10 @@ func (q *Queue) EnqueueMessageWait(ctx context.Context, m Message) error {
 	if err := checkMessage(&m); err != nil {
 		return err
 	}
-	m.Keys = cloneKeys(m.Keys)
 	return q.admitWait(ctx, m)
 }
 
-// cloneKeys copies a caller-supplied key slice. The claim accounting
-// re-reads the same slice at enqueue, dispatch, and Complete/Release, so
-// admitting an aliased slice would let a caller's later mutation corrupt
-// the per-key claim queues.
-func cloneKeys(keys []Key) []Key {
-	if len(keys) == 0 {
-		return keys
-	}
-	return append([]Key(nil), keys...)
-}
-
-// admit performs the non-blocking admission of a validated message whose
-// key slice the queue owns.
+// admit performs the non-blocking admission of a validated message.
 func (q *Queue) admit(m Message) error {
 	if q.closed.Load() {
 		return ErrClosed
@@ -614,10 +608,17 @@ func (q *Queue) enqueueSharded(m *Message, attempt uint32, lastErr error) (*shar
 	// the two admission paths (written inline: a helper's extra call level
 	// on the producer's hot path measures as ~5% of fine_disjoint). The
 	// sequence number comes later, from admitNode; a refused admission
-	// hands the node straight back to the pool.
+	// hands the node straight back to the pool. The claim accounting
+	// re-reads the key set until resolution, so it is copied into storage
+	// the node owns: inline when it fits, and then nothing is allocated.
 	n := h.pool.get()
 	n.home = h
-	n.entry = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos()}
+	n.entry = Entry{msg: *m, smask: smask, attempt: attempt, err: lastErr, enqAt: nowNanos(), node: n}
+	if len(m.Keys) > len(n.keybuf) {
+		n.entry.msg.Keys = slices.Clone(m.Keys)
+	} else if len(m.Keys) > 0 {
+		n.entry.msg.Keys = n.keybuf[:copy(n.keybuf[:], m.Keys)]
+	}
 	if !m.NotBefore.IsZero() {
 		n.entry.notBefore = toNanos(m.NotBefore)
 	}
@@ -640,7 +641,7 @@ func (q *Queue) enqueueSharded(m *Message, attempt uint32, lastErr error) (*shar
 		q.unlockMask(smask)
 	}
 	if err != nil {
-		h.recycle(n)
+		h.pool.put(n)
 		return nil, err
 	}
 	return h, nil
@@ -671,8 +672,7 @@ func (q *Queue) unlockMask(mask uint64) {
 // another goroutine holds a shard's lock it may conservatively report
 // nothing dispatchable).
 func (q *Queue) TryDequeue() (e *Entry, ok bool) {
-	// A harvest of one into a one-slot buffer that never leaves the
-	// stack: the only allocation is the dispatched Entry itself.
+	// A harvest of one into a one-slot stack buffer: it allocates nothing.
 	var one [1]*Entry
 	if es, _ := q.harvest(1, one[:0]); len(es) > 0 {
 		return es[0], true
@@ -716,7 +716,8 @@ func (q *Queue) DequeueContext(ctx context.Context) (*Entry, error) {
 // Complete marks a previously dequeued entry's handler as finished,
 // releasing its key set (or the sequential barrier) and waking waiters.
 // Its failure-path dual is Release; every dispatched entry must reach
-// exactly one of the two.
+// exactly one of the two, and neither e nor its Message's Keys may be used
+// afterwards (see Entry); a second resolution the queue can detect panics.
 func (q *Queue) Complete(e *Entry) { q.complete(e, false) }
 
 // CompleteNext completes e like Complete and then attempts a chain
@@ -744,9 +745,10 @@ func (q *Queue) CompleteNext(e *Entry) (next *Entry, ok bool) {
 
 // complete is the one completion body: free e's synchronization state,
 // count and trace the completion, attempt the chain handoff when asked
-// (see CompleteNext), link the entries it made ready, and retire the
-// in-flight handler.
+// (see CompleteNext), retire e's node, link the entries it made ready, and
+// retire the in-flight handler.
 func (q *Queue) complete(e *Entry, handoff bool) (next *Entry) {
+	e.resolve()
 	handoff = handoff && len(e.msg.Keys) > 0 && e.msg.Mode != ModeSequential
 	d := deferred{hold: handoff}
 	ws := q.releaseEntryState(e, &d)
@@ -780,8 +782,18 @@ func (q *Queue) complete(e *Entry, handoff bool) (next *Entry) {
 			}
 		}
 	}
+	q.retire(e)
 	q.settle(ws, &d, 1)
 	return next
+}
+
+// retire returns a resolved entry's node (a sequential entry has none) to
+// its home shard's pool; e must not be read afterwards. It runs ahead of
+// the in-flight count's drop, so an idle queue's nodes are all pooled.
+func (q *Queue) retire(e *Entry) {
+	if n := e.node; n != nil {
+		n.home.pool.put(n)
+	}
 }
 
 // releaseEntryState frees the synchronization state a dispatched entry
@@ -795,8 +807,15 @@ func (q *Queue) releaseEntryState(e *Entry, d *deferred) *shard {
 		q.completeBarrier()
 		return nil
 	}
-	if len(e.msg.Keys) > 0 {
-		q.releaseKeys(e, d)
+	// One owning shard's lock at a time — the inverse of acquire. Each key
+	// that goes idle unblocks the entries waiting on it (shard.unblock).
+	for m := e.smask; m != 0 && e.claims != nil; {
+		i := bits.TrailingZeros64(m)
+		m &^= 1 << i
+		s := &q.shards[i]
+		s.mu.Lock()
+		s.releaseOwned(e, d)
+		s.mu.Unlock()
 	}
 	return q.shardFromMask(e.smask)
 }

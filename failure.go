@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"log"
 	"runtime/debug"
+	"slices"
 )
 
 // PanicError is the error a recovered handler panic is converted into:
@@ -45,8 +46,10 @@ func (p *PanicError) Unwrap() error {
 // its own entry, each terminal one reaches the dead-letter hook with its
 // own Message — because the queue cannot know which payload of the
 // merged invocation failed. Like Complete, Release must be called
-// exactly once per dispatched entry, in place of Complete.
+// exactly once per dispatched entry, in place of Complete, and ends the
+// entry's lifetime (see Entry).
 func (q *Queue) Release(e *Entry, err error) {
+	e.resolve()
 	var d deferred
 	ws := q.releaseEntryState(e, &d)
 	q.g.released.Add(1)
@@ -57,9 +60,10 @@ func (q *Queue) Release(e *Entry, err error) {
 	// count drops below, so a concurrent Drain cannot observe an idle
 	// queue between the two.
 	q.resolveFailed(e.msg, e.attempt, err)
-	for _, m := range e.extraList() {
+	for _, m := range e.extra {
 		q.resolveFailed(m, e.attempt, err)
 	}
+	q.retire(e)
 	q.settle(ws, &d, 1)
 }
 
@@ -114,8 +118,10 @@ func (q *Queue) requeue(m Message, attempt uint32, err error) bool {
 // hook. The hook runs before the entry's in-flight count is retired, so
 // Drain and Close observe dead-lettering as part of the entry's
 // lifetime. A panicking hook is contained (logged), never allowed to
-// kill the worker the way the handler's own panic would have.
+// kill the worker the way the handler's own panic would have. The hook
+// may keep m, so it gets a key slice that outlives the entry's node.
 func (q *Queue) deadLetterMsg(m Message, err error) {
+	m.Keys = slices.Clone(m.Keys)
 	q.g.deadLettered.Add(1)
 	if t := q.tr; t != nil && m.TraceID != 0 {
 		t.record(0, m.TraceID, TraceDeadLetter, 0, 0)
@@ -191,7 +197,7 @@ func (q *Queue) runHandler(e *Entry) (pe *PanicError) {
 			q.Release(e, ErrHandlerExited)
 		}
 	}()
-	m := e.Message()
+	m := &e.msg
 	t := q.tr
 	if t != nil && m.TraceID != 0 {
 		t.record(q.shardFromMask(e.smask).idx, m.TraceID, TraceHandlerStart, e.seq, int64(e.attempt))

@@ -1,6 +1,9 @@
 package pdq
 
-import "testing"
+import (
+	"sync"
+	"testing"
+)
 
 // The L0 rung for the per-key record (shard.go): the three operations a
 // keyed message performs on it — join at admission, pop-head at
@@ -11,6 +14,9 @@ import "testing"
 // reach inside. Run with:
 //
 //	go test -run '^$' -bench 'KeyRec|HarvestBlockedPrefix' -benchmem .
+//
+// BenchmarkNodePool, the rung for the node pool beside them (ring.go), is
+// here for the same reason.
 
 func benchShard() *shard {
 	return &New().shards[0] // nothing is enqueued, so its ring stays empty
@@ -78,5 +84,67 @@ func BenchmarkKeyRecAcquireRelease(b *testing.B) {
 		rec.popHead(c2)
 		s.freeClaim(c2)
 		s.reap(rec)
+	}
+}
+
+// BenchmarkNodePool: one node taken and retired — through the shard's
+// epochPool, through a sync.Pool, and with no pool at all (new(node), the
+// retire a no-op: the GC pays). "same" does both on one goroutine. "split"
+// is the queue's shape: a producer goroutine takes, a consumer goroutine
+// retires — nodes cross in lots of 64, so the channel between them is a
+// sixty-fourth of an operation — which is where a per-P pool's local
+// caches stop helping: what one P retires the other P must steal.
+func BenchmarkNodePool(b *testing.B) {
+	var ep epochPool
+	ep.init(nodePoolSize)
+	sp := sync.Pool{New: func() any { return new(node) }}
+	for _, src := range []struct {
+		name string
+		get  func() *node
+		put  func(*node)
+	}{
+		{"epochPool", ep.get, ep.put},
+		{"syncPool", func() *node { return sp.Get().(*node) }, func(n *node) { n.entry = Entry{}; sp.Put(n) }},
+		{"new", func() *node { return new(node) }, func(*node) {}},
+	} {
+		b.Run(src.name+"/same", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				n := src.get()
+				n.entry.seq = uint64(i)
+				src.put(n)
+			}
+		})
+		b.Run(src.name+"/split", func(b *testing.B) {
+			const lot = 64
+			// Four lots in circulation: up to 256 nodes out at once, well
+			// inside either pool.
+			taken, retired := make(chan *[lot]*node, 4), make(chan *[lot]*node, 4)
+			for i := 0; i < cap(retired); i++ {
+				retired <- new([lot]*node)
+			}
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for l := range taken {
+					for _, n := range l {
+						src.put(n)
+					}
+					retired <- l
+				}
+			}()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += lot {
+				l := <-retired
+				for j := range l {
+					l[j] = src.get()
+					l[j].entry.seq = uint64(i + j)
+				}
+				taken <- l
+			}
+			close(taken)
+			<-done
+		})
 	}
 }

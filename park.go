@@ -22,7 +22,8 @@ type parker struct {
 	timerWakeups atomic.Uint64 // maturity timers that fired into a park
 	partial      atomic.Int32  // published waiters serving only part of what parks here (see Mux.partial)
 
-	_ cpad
+	onTimer, onBackstop func() // timerWake and wakeAll bound once: a method value per timed park is an allocation
+	_                   cpad
 	//pdq:isolated
 	gen atomic.Uint64 // events no shard owns: barrier traffic, close, cancellation, timers
 	_   cpad
@@ -34,6 +35,7 @@ type parker struct {
 func newParker() *parker {
 	p := new(parker)
 	p.cond.L = &p.mu
+	p.onTimer, p.onBackstop = p.timerWake, p.wakeAll
 	return p
 }
 
@@ -92,9 +94,9 @@ func (p *parker) park(ctx context.Context, still func() bool, backstop bool, wak
 			if d <= 0 || backstop && d > dispatchBackoff {
 				d = dispatchBackoff
 			}
-			t = time.AfterFunc(d, p.timerWake)
+			t = time.AfterFunc(d, p.onTimer)
 		} else if backstop {
-			t = time.AfterFunc(dispatchBackoff, p.wakeAll)
+			t = time.AfterFunc(dispatchBackoff, p.onBackstop)
 		}
 		p.cond.Wait()
 		if t != nil {

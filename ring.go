@@ -35,18 +35,10 @@ package pdq
 //     lock holder draining the ring may be spin-waiting on this very
 //     producer's publish — blocking on the mutex there would deadlock.
 //
-//   - Pending-list nodes are recycled through a bounded, lock-free,
-//     epoch-stamped pool (epochPool) instead of the old consumer-side
-//     free list, so ring producers allocate and recycle nodes without
-//     the shard mutex. Every pool slot carries an epoch counter that
-//     advances by the pool size each reuse cycle; a node can only be
-//     taken in the epoch after the one it was retired in, which is what
-//     makes concurrent take/retire safe without locks (a stale reader's
-//     compare of the epoch word can never mistake a recycled slot for
-//     its old occupant). The pool is fixed-size by construction — a
-//     burst can no longer pin an unbounded node chain — and overflow
-//     simply drops nodes to the garbage collector (counted in
-//     Stats.NodesCapped).
+//   - Nodes are recycled through a bounded, lock-free, epoch-stamped pool
+//     (epochPool, below), so ring producers take them, and whichever
+//     goroutine resolves an entry retires its node, without the shard
+//     mutex; overflow drops nodes to the GC (Stats.NodesCapped).
 //
 // Correctness notes (the invariants every path must keep):
 //
@@ -310,11 +302,11 @@ type poolSlot struct {
 	n     *node
 }
 
-// epochPool is a bounded MPMC pool recycling pending-list nodes across
-// the producer/consumer boundary without the shard mutex: consumers
-// retire nodes as entries dispatch, ring producers take them on the
-// lock-free enqueue path. Fixed capacity replaces the old free list's
-// growth-after-burst behavior — overflow drops nodes to the GC.
+// epochPool is a bounded MPMC pool recycling nodes across the
+// producer/consumer boundary without the shard mutex: whichever goroutine
+// resolves an entry retires its node (Queue.retire), ring producers take
+// them on the lock-free enqueue path. Fixed capacity replaces the old free
+// list's growth-after-burst behavior — overflow drops nodes to the GC.
 type epochPool struct {
 	slots []poolSlot
 	mask  uint64

@@ -409,12 +409,12 @@ func clock(now *int64) int64 {
 // dispatching it: its claims leave their queues (each successor that
 // thereby heads an idle key's queue is unblocked, or, inside a
 // multi-entry harvest, offered to the in-batch exception), the entry
-// leaves the pending list, its capacity slot returns, and its message is
+// leaves the pending list, its capacity slot returns, and the node is
 // queued in d for the dead-letter hook, which the caller runs through
-// settle after dropping its locks. The in-flight count is raised first,
-// mirroring the dispatch protocol, so Drain cannot observe an idle queue
-// while the hook is still owed. Caller holds the lock of every shard in
-// the entry's smask and has already taken n off the ready list.
+// settle, retiring the node, after dropping its locks. The in-flight
+// count is raised first, mirroring the dispatch protocol, so Drain cannot
+// observe an idle queue while the hook is still owed. Caller holds the lock
+// of every shard in the entry's smask and has taken n off the ready list.
 //
 //pdq:crossshard — unblocks successors homed on shards whose locks are not held.
 func (q *Queue) expire(s *shard, n *node, d *deferred, ib *inBatch) {
@@ -444,6 +444,5 @@ func (q *Queue) expire(s *shard, n *node, d *deferred, ib *inBatch) {
 	s.unlink(n)
 	q.releaseSlot()
 	s.stats.expired++
-	d.expired = append(d.expired, e.msg)
-	s.recycle(n)
+	d.expired = append(d.expired, n)
 }

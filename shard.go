@@ -2,7 +2,6 @@ package pdq
 
 import (
 	"math"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -40,6 +39,9 @@ type shard struct {
 	keys       map[Key]*keyRec // record of every owned key that is in flight or claimed
 	freeRecs   *keyRec         // recycled records, chained through keyRec.next
 	freeClaims *claim          // recycled claims, chained through claim.next
+	// The free lists' lengths, capped (nodePoolSize, maxFreeClaims): a
+	// burst's surplus goes to the GC, not pinned for the queue's lifetime.
+	nfreeRecs, nfreeClaims int
 
 	stats shardCounters
 
@@ -96,12 +98,15 @@ func (s *shard) init(idx uint32, ring int) {
 	s.pool.init(nodePoolSize)
 }
 
-// node is a pending entry. Hand-rolled lists avoid container/list's
-// interface boxing on this hot path.
+// node is a message's one home in the queue: pending, then handed to the
+// consumer in place (&n.entry), then retired to its home shard's pool by
+// the Complete or Release that resolves the entry (Queue.retire).
+// Hand-rolled lists avoid container/list's interface boxing on this hot path.
 type node struct {
 	entry      Entry
-	home       *shard // the shard whose lists and pool the node lives in
-	prev, next *node  // pending-list links, guarded by home.mu
+	keybuf     [inlineKeys]Key // storage of entry.msg.Keys when the set fits (see enqueueSharded)
+	home       *shard          // the shard whose lists and pool the node lives in
+	prev, next *node           // pending-list links, guarded by home.mu
 
 	// state is the entry's dispatchability: the low bits count its unmet
 	// conditions — one per key that is in flight or claimed by an earlier
@@ -115,6 +120,11 @@ type node struct {
 	chain *node // next entry of the band's ready FIFO (see readyList); guarded by home.mu
 	owed  *node // next node whose ready-list link the same goroutine owes (see deferred)
 }
+
+// inlineKeys is the largest key set a node stores itself; maxFreeClaims, a
+// claim per inline key of a pool's worth of nodes (a list as short as the
+// node pool runs dry whenever a backlog of key sets swings: docs/PERF.md).
+const inlineKeys, maxFreeClaims = 4, 4 * nodePoolSize
 
 // readyBit marks a node.state whose ready-list link is made, owed by the
 // goroutine that set it, or held by a dispatch attempt in progress.
@@ -182,6 +192,7 @@ func (s *shard) join(n *node, k Key, barge bool) (c *claim, kind int) {
 	case rec == nil:
 		if rec = s.freeRecs; rec != nil {
 			s.freeRecs = rec.next
+			s.nfreeRecs--
 			rec.next = nil
 		} else {
 			rec = &keyRec{owner: s.idx}
@@ -193,6 +204,7 @@ func (s *shard) join(n *node, k Key, barge bool) (c *claim, kind int) {
 	}
 	if c = s.freeClaims; c != nil {
 		s.freeClaims = c.next
+		s.nfreeClaims--
 		c.next = nil
 	} else {
 		c = new(claim)
@@ -258,8 +270,11 @@ func (rec *keyRec) dropBarge(c *claim) {
 // freeClaim recycles a claim that has left its queue and its entry.
 // Caller holds s.mu, s the claim's key owner.
 func (s *shard) freeClaim(c *claim) {
-	*c = claim{next: s.freeClaims}
-	s.freeClaims = c
+	*c = claim{}
+	if s.nfreeClaims < maxFreeClaims {
+		c.next, s.freeClaims = s.freeClaims, c
+		s.nfreeClaims++
+	}
 }
 
 // reap drops rec from the key table once nothing holds or awaits its
@@ -269,8 +284,10 @@ func (s *shard) reap(rec *keyRec) {
 		return
 	}
 	delete(s.keys, rec.key)
-	rec.next = s.freeRecs
-	s.freeRecs = rec
+	if s.nfreeRecs < nodePoolSize {
+		rec.next, s.freeRecs = s.freeRecs, rec
+		s.nfreeRecs++
+	}
 }
 
 // deferred is what a locked section owes once its shard locks drop (see
@@ -283,9 +300,9 @@ type deferred struct {
 	// node.chain, because a stale link may still be coming off its list
 	// under the home lock when another shard's release takes the new one.
 	owed    *node
-	nready  int       // entries this section made ready, linked or owed: the consumers to wake
-	hold    bool      // owe even the links the held lock allows (CompleteNext takes one itself)
-	expired []Message // expired entries' messages, owed to the dead-letter hook
+	nready  int     // entries this section made ready, linked or owed: the consumers to wake
+	hold    bool    // owe even the links the held lock allows (CompleteNext takes one itself)
+	expired []*node // expired entries, owed to the dead-letter hook and then to their pools
 }
 
 // unblock retires one unmet condition of n — a key s owns went idle, or n
@@ -320,8 +337,8 @@ func (s *shard) linkReady(n *node) {
 // in-flight handlers it resolved: the ready-list links still owed are
 // made, one home shard lock at a time; each expired message goes to the
 // dead-letter hook (its in-flight hold, taken by expire, retires with
-// the rest); and as many consumers wake as entries became ready. Must be
-// called with no shard lock held.
+// the rest) and its node back to the pool; and as many consumers wake as
+// entries became ready. Must be called with no shard lock held.
 func (q *Queue) settle(ws *shard, d *deferred, n int) {
 	for nd := d.owed; nd != nil; {
 		next := nd.owed // once linked, nd may dispatch and be recycled
@@ -331,8 +348,9 @@ func (q *Queue) settle(ws *shard, d *deferred, n int) {
 		nd.home.mu.Unlock()
 		nd = next
 	}
-	for _, m := range d.expired {
-		q.deadLetterMsg(m, ErrExpired)
+	for _, n := range d.expired {
+		q.deadLetterMsg(n.entry.msg, ErrExpired)
+		n.home.pool.put(n)
 	}
 	q.finishInflight(ws, d.nready, n+len(d.expired))
 }
@@ -467,28 +485,6 @@ func (s *shard) unlink(n *node) {
 	s.npending.Add(-1)
 }
 
-func (s *shard) recycle(n *node) { s.pool.put(n) }
-
-// releaseKeys gives back e's share of the in-flight count of every key it
-// holds, one owning shard's lock at a time — the inverse of acquire,
-// shared by the Complete and Release paths: both free key state
-// identically; they differ only in where the entry goes next. Each key
-// that goes idle unblocks the entries waiting on it (see shard.unblock);
-// d collects the ready-list links left to make.
-func (q *Queue) releaseKeys(e *Entry, d *deferred) {
-	if e.claims == nil {
-		panic("pdq: Complete/Release for key with no in-flight handler")
-	}
-	for m := e.smask; m != 0; {
-		i := bits.TrailingZeros64(m)
-		m &^= 1 << i
-		s := &q.shards[i]
-		s.mu.Lock()
-		s.releaseOwned(e, d)
-		s.mu.Unlock()
-	}
-}
-
 // releaseOwned releases the claims of e on keys s owns, unchaining them
 // from e as it goes (a freed claim may be reused at once by an admission
 // on s, so a later shard's pass must not walk through it). A key whose
@@ -530,6 +526,7 @@ func (s *shard) releaseOwned(e *Entry, d *deferred) {
 // and has taken n off the ready list.
 func (q *Queue) acquire(s *shard, n *node) {
 	e := &n.entry
+	e.inflight = true
 	barge := e.msg.Mode == ModeBarge
 	q.inflightAll.Add(1)
 	for c := e.claims; c != nil; c = c.peer {
